@@ -17,15 +17,14 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import pathlib
 import sys
 
 import numpy as np
 
-from .control import _masked, _require_balanced, risky_bellman_apply, safe_bellman_apply
+from .control import ControlSweeps
 from .dbo import DistFunction, dbo_iterate
-from .diatomic import DoubleQ, diatomic_bellman_apply, spe
+from .diatomic import pair_sweeps, spe
 from .dist import DiscreteDist, avar_left, avar_right, expectation
 from .errors import (
     ConvergenceError,
@@ -34,33 +33,9 @@ from .errors import (
     PropertyFailure,
     SolverError,
 )
-from .mdp import Mdp, Policy, bellman_policy_op, load_mdp
-from .risky_lp import (
-    build_risky_dual,
-    build_risky_primal,
-    duality_gap_check,
-    risky_constraint_rows,
-)
+from .mdp import Mdp, Policy, SweepRun, load_mdp, policy_sweeps, run_sweeps, state_values
+from .risky_lp import build_risky_primal, duality_gap_check, risky_constraint_rows
 from .robust import worst_best_case
-from .simplex import solve
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> None:
-    """Honor DIATOMIC_DP_THREADS by capping the usual BLAS pools.
-
-    Best effort: the caps only bind for pools that have not started yet.
-    """
-    cap = os.environ.get("DIATOMIC_DP_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
 
 
 def _jsonable(obj):
@@ -162,70 +137,63 @@ def _entry_headers(mdp: Mdp, prefix: str):
     ]
 
 
+def _run_traced(args, sweeps, header, row) -> SweepRun:
+    """Run ``sweeps`` to --tol or --max-iter, writing one trace row per sweep."""
+    rows = []
+    run = run_sweeps(
+        sweeps,
+        args.tol,
+        args.max_iter,
+        on_sweep=lambda it, value, residual: rows.append([it, residual, *row(value)]),
+    )
+    _write_trace(args, ["iteration", "residual", *header], rows)
+    return run
+
+
 def _cmd_eval(args) -> int:
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    rows = []
-    residual = np.inf
-    for it in range(1, args.max_iter + 1):
-        q_next = bellman_policy_op(mdp, policy, q)
-        residual = float(np.abs(q_next - q).max())
-        rows.append([it, residual, *q_next.ravel()])
-        q = q_next
-        if residual <= args.tol:
-            break
-    _write_trace(args, ["iteration", "residual", *_entry_headers(mdp, "q")], rows)
+    run = _run_traced(
+        args, policy_sweeps(mdp, policy), _entry_headers(mdp, "q"), lambda q: q.ravel()
+    )
     _write_result(
         args,
         {
             "params": _params(args, alpha=None, policy=args.policy),
-            "converged": residual <= args.tol,
-            "iterations": len(rows),
-            "residual": residual,
-            "q": q,
-            "v": (policy.probs * q).sum(axis=1),
+            "converged": run.converged,
+            "iterations": run.iterations,
+            "residual": run.residual,
+            "q": run.value,
+            "v": state_values(run.value, policy),
         },
     )
-    print(f"eval: {len(rows)} iterations, residual {residual!r}")
+    print(f"eval: {run.iterations} iterations, residual {run.residual!r}")
     return 0
 
 
 def _cmd_spe(args) -> int:
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
-    dq = DoubleQ.zeros(mdp, args.alpha)
-    rows = []
-    residual = np.inf
-    for it in range(1, args.max_iter + 1):
-        nxt = diatomic_bellman_apply(mdp, policy, dq)
-        residual = float(
-            max(np.abs(nxt.q1 - dq.q1).max(), np.abs(nxt.q2 - dq.q2).max())
-        )
-        rows.append([it, residual, *nxt.q1.ravel(), *nxt.q2.ravel()])
-        dq = nxt
-        if residual <= args.tol:
-            break
-    header = [
-        "iteration",
-        "residual",
-        *_entry_headers(mdp, "q1"),
-        *_entry_headers(mdp, "q2"),
-    ]
-    _write_trace(args, header, rows)
+    run = _run_traced(
+        args,
+        pair_sweeps(mdp, policy, args.alpha),
+        [*_entry_headers(mdp, "q1"), *_entry_headers(mdp, "q2")],
+        lambda dq: [*dq.q1.ravel(), *dq.q2.ravel()],
+    )
+    dq = run.value
     _write_result(
         args,
         {
             "params": _params(args, alpha=args.alpha, policy=args.policy),
-            "converged": residual <= args.tol,
-            "iterations": len(rows),
-            "residual": residual,
+            "converged": run.converged,
+            "iterations": run.iterations,
+            "residual": run.residual,
             "q1": dq.q1,
             "q2": dq.q2,
             "mean": dq.mean,
         },
     )
-    print(f"spe: {len(rows)} iterations, residual {residual!r}")
+    print(f"spe: {run.iterations} iterations, residual {run.residual!r}")
     return 0
 
 
@@ -261,66 +229,40 @@ def _cmd_dbo(args) -> int:
     return 0
 
 
-def _cmd_control(args, risky: bool) -> int:
+def _cmd_control(args, mode: str) -> int:
     mdp = _load_mdp(args)
-    q_star = _require_balanced(mdp)
-    mask = mdp.action_mask
-    v_star = _masked(q_star, mask, -np.inf).max(axis=1)
-    apply_step = risky_bellman_apply if risky else safe_bellman_apply
-    alpha = args.alpha
-    v1 = np.zeros(mdp.n_states)
-    v2 = (v_star - alpha * v1) / (1.0 - alpha)
-    rows = []
-    residual = np.inf
-    step = None
-    for it in range(1, args.max_iter + 1):
-        step = apply_step(mdp, v1, v2, alpha, v_star=v_star)
-        residual = float(np.abs(step.v1 - v1).max())
-        rows.append([it, residual, *step.v1, *step.v2])
-        v1, v2 = step.v1, step.v2
-        if residual <= args.tol:
-            break
-    q1 = step.q1
-    q2 = (q_star - alpha * q1) / (1.0 - alpha)
-    pick = _masked(q1, mask, np.inf).min(axis=1) if risky else _masked(
-        q1, mask, -np.inf
-    ).max(axis=1)
-    action_sets = [
-        [int(a) for a in np.flatnonzero(mask[x] & (np.abs(q1[x] - pick[x]) <= 1e-8))]
-        for x in range(mdp.n_states)
-    ]
-    header = [
-        "iteration",
-        "residual",
-        *[f"v1_{s}" for s in mdp.states],
-        *[f"v2_{s}" for s in mdp.states],
-    ]
-    _write_trace(args, header, rows)
-    mode = "risky" if risky else "safe"
+    sweeps = ControlSweeps(mdp, args.alpha, mode)
+    run = _run_traced(
+        args,
+        sweeps,
+        [*[f"v1_{s}" for s in mdp.states], *[f"v2_{s}" for s in mdp.states]],
+        lambda step: [*step.v1, *step.v2],
+    )
+    res = sweeps.result(run)
     _write_result(
         args,
         {
-            "params": _params(args, alpha=alpha),
+            "params": _params(args, alpha=args.alpha),
             "mode": mode,
-            "converged": residual <= args.tol,
-            "iterations": len(rows),
-            "residual": residual,
-            "v1": v1,
-            "v2": v2,
-            "q1": q1,
-            "q2": q2,
-            "v_star": v_star,
-            "action_sets": action_sets,
+            "converged": run.converged,
+            "iterations": res.iterations,
+            "residual": res.residual,
+            "v1": res.v1,
+            "v2": res.v2,
+            "q1": res.q1,
+            "q2": res.q2,
+            "v_star": res.v_star,
+            "action_sets": res.action_sets,
             "action_set_names": [
-                [mdp.actions[a] for a in group] for group in action_sets
+                [mdp.actions[a] for a in group] for group in res.action_sets
             ],
         },
     )
     sets = ", ".join(
         f"{s}:{{{','.join(mdp.actions[a] for a in group)}}}"
-        for s, group in zip(mdp.states, action_sets)
+        for s, group in zip(mdp.states, res.action_sets)
     )
-    print(f"{mode}: {len(rows)} iterations, action sets {sets}")
+    print(f"{mode}: {res.iterations} iterations, action sets {sets}")
     return 0
 
 
@@ -329,23 +271,10 @@ def _cmd_robust_verify(args) -> int:
     policy = _parse_policy(mdp, args.policy)
     res = worst_best_case(mdp, policy, args.alpha)
     sol = spe(mdp, policy, args.alpha, tol=min(args.tol, 1e-10))
-    v1 = np.array(
-        [
-            float(
-                policy.probs[x, list(policy.support(x))]
-                @ sol.double_q.q1[x, list(policy.support(x))]
-            )
-            for x in range(mdp.n_states)
-        ]
-    )
-    v2 = np.array(
-        [
-            float(
-                policy.probs[x, list(policy.support(x))]
-                @ sol.double_q.q2[x, list(policy.support(x))]
-            )
-            for x in range(mdp.n_states)
-        ]
+    supports = [list(policy.support(x)) for x in range(mdp.n_states)]
+    v1, v2 = (
+        np.array([float(policy.probs[x, sup] @ table[x, sup]) for x, sup in enumerate(supports)])
+        for table in (sol.double_q.q1, sol.double_q.q2)
     )
     deviation = float(
         max(np.abs(res.v_worst - v1).max(), np.abs(res.v_best - v2).max())
@@ -514,8 +443,8 @@ _DISPATCH = {
     "eval": _cmd_eval,
     "spe": _cmd_spe,
     "dbo": _cmd_dbo,
-    "safe": lambda args: _cmd_control(args, risky=False),
-    "risky": lambda args: _cmd_control(args, risky=True),
+    "safe": lambda args: _cmd_control(args, "safe"),
+    "risky": lambda args: _cmd_control(args, "risky"),
     "robust-verify": _cmd_robust_verify,
     "risky-lp": _cmd_risky_lp,
     "avar": _cmd_avar,
@@ -531,7 +460,6 @@ def _exit_code(exc: DiatomicError) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)

@@ -16,14 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diatomic import _check_alpha, spe
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .dist import left_tail_weights
+from .errors import DomainError, PreconditionError
 from .mdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Mdp,
     Policy,
-    balance_gap,
-    value_iteration,
+    SweepRun,
+    _balance,
+    operator_sweeps,
+    run_sweeps,
 )
 
 BALANCE_TOL = 1e-6
@@ -31,17 +34,20 @@ BALANCE_TOL = 1e-6
 
 def _require_balanced(mdp: Mdp, tol: float = BALANCE_TOL) -> np.ndarray:
     """Return the optimal table, or raise naming the offending state."""
-    gap, (x, best, worst) = balance_gap(mdp)
+    q_star, gap, (x, best, worst) = _balance(mdp)
     if gap > tol:
         raise PreconditionError(
             f"not balanced: state {x} has Q* spread {gap:.3e} between "
             f"actions {best} and {worst} (tolerance {tol})"
         )
-    return value_iteration(mdp, tol=1e-12).q
+    return q_star
 
 
-def _masked(q: np.ndarray, mask: np.ndarray, fill: float) -> np.ndarray:
-    return np.where(mask, q, fill)
+def _select(q: np.ndarray, mask: np.ndarray, risky: bool) -> np.ndarray:
+    """Per state, the lowest (risky) or highest (safe) admissible entry of ``q``."""
+    if risky:
+        return np.where(mask, q, np.inf).min(axis=1)
+    return np.where(mask, q, -np.inf).max(axis=1)
 
 
 def _tail_q_table(mdp: Mdp, v1: np.ndarray, v2: np.ndarray, alpha: float) -> np.ndarray:
@@ -61,9 +67,7 @@ def _tail_q_table(mdp: Mdp, v1: np.ndarray, v2: np.ndarray, alpha: float) -> np.
     order = np.argsort(vals, axis=2, kind="stable")
     v = np.take_along_axis(vals, order, axis=2)
     w = np.take_along_axis(wts, order, axis=2)
-    cum = np.cumsum(w, axis=2)
-    left_w = np.clip(np.minimum(w, alpha - (cum - w)), 0.0, None)
-    return (left_w * v).sum(axis=2) / alpha
+    return (left_tail_weights(w, alpha) * v).sum(axis=2) / alpha
 
 
 @dataclass(frozen=True)
@@ -76,16 +80,17 @@ class ControlStep:
 
 
 def _control_step(
-    mdp: Mdp, v_star: np.ndarray, v1: np.ndarray, v2: np.ndarray, alpha: float, risky: bool
+    mdp: Mdp, v1, v2, alpha: float, risky: bool, v_star=None, balance_tol: float = BALANCE_TOL
 ) -> ControlStep:
+    _check_alpha(alpha)
+    v1 = np.asarray(v1, dtype=np.float64)
+    v2 = np.asarray(v2, dtype=np.float64)
+    if v_star is None:
+        v_star = _select(_require_balanced(mdp, balance_tol), mdp.action_mask, risky=False)
+    v_star = np.asarray(v_star, dtype=np.float64)
     q1 = _tail_q_table(mdp, v1, v2, alpha)
-    mask = mdp.action_mask
-    if risky:
-        v1_next = _masked(q1, mask, np.inf).min(axis=1)
-    else:
-        v1_next = _masked(q1, mask, -np.inf).max(axis=1)
-    v2_next = (v_star - alpha * v1_next) / (1.0 - alpha)
-    return ControlStep(q1, v1_next, v2_next)
+    v1_next = _select(q1, mdp.action_mask, risky)
+    return ControlStep(q1, v1_next, (v_star - alpha * v1_next) / (1.0 - alpha))
 
 
 def safe_bellman_apply(
@@ -96,26 +101,14 @@ def safe_bellman_apply(
     The MDP must be balanced; pass v_star to skip the internal optimal
     solve when calling in a loop.
     """
-    _check_alpha(alpha)
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if v_star is None:
-        q_star = _require_balanced(mdp, balance_tol)
-        v_star = _masked(q_star, mdp.action_mask, -np.inf).max(axis=1)
-    return _control_step(mdp, np.asarray(v_star, dtype=np.float64), v1, v2, alpha, risky=False)
+    return _control_step(mdp, v1, v2, alpha, False, v_star, balance_tol)
 
 
 def risky_bellman_apply(
     mdp: Mdp, v1, v2, alpha: float, v_star=None, balance_tol: float = BALANCE_TOL
 ) -> ControlStep:
     """One risky sweep: the right tail is maximized by minimizing the left."""
-    _check_alpha(alpha)
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if v_star is None:
-        q_star = _require_balanced(mdp, balance_tol)
-        v_star = _masked(q_star, mdp.action_mask, -np.inf).max(axis=1)
-    return _control_step(mdp, np.asarray(v_star, dtype=np.float64), v1, v2, alpha, risky=True)
+    return _control_step(mdp, v1, v2, alpha, True, v_star, balance_tol)
 
 
 @dataclass(frozen=True)
@@ -132,6 +125,66 @@ class ControlResult:
     iterations: int
 
 
+class ControlSweeps:
+    """Safe or risky sweeps from the zero vector on a balanced MDP.
+
+    Iterating yields ``(ControlStep, residual)`` per sweep, the residual
+    being the sup-norm change of v1; ``run_sweeps`` decides when to stop,
+    and ``result`` extracts the control solution from the last sweep.
+    """
+
+    def __init__(
+        self, mdp: Mdp, alpha: float, mode: str = "safe", balance_tol: float = BALANCE_TOL
+    ):
+        _check_alpha(alpha)
+        if mode not in ("safe", "risky"):
+            raise DomainError(f"mode must be 'safe' or 'risky', got {mode!r}")
+        self.mdp = mdp
+        self.alpha = alpha
+        self.mode = mode
+        self.risky = mode == "risky"
+        self.q_star = _require_balanced(mdp, balance_tol)
+        self.v_star = _select(self.q_star, mdp.action_mask, risky=False)
+
+    def __iter__(self):
+        v1 = np.zeros(self.mdp.n_states)
+        # no sweep has produced a left table yet
+        start = ControlStep(None, v1, (self.v_star - self.alpha * v1) / (1.0 - self.alpha))
+        return operator_sweeps(
+            lambda prev: _control_step(
+                self.mdp, prev.v1, prev.v2, self.alpha, self.risky, self.v_star
+            ),
+            start,
+            lambda new, old: float(np.abs(new.v1 - old.v1).max()),
+        )
+
+    def result(self, run: SweepRun, tie_tol: float = 1e-8) -> ControlResult:
+        """The control solution at the last sweep of ``run``.
+
+        q2 reports the complementary tail (v_star - alpha * q1) / (1 - alpha),
+        which is the right tail mean exactly on admissible entries. A state's
+        action set holds the admissible actions whose q1 is within
+        ``tie_tol`` of the selected one.
+        """
+        step = run.value
+        q1 = step.q1
+        pick = _select(q1, self.mdp.action_mask, self.risky)[:, None]
+        tied = q1 <= pick + tie_tol if self.risky else q1 >= pick - tie_tol
+        sets = tuple(tuple(a for a in g if tied[x, a]) for x, g in enumerate(self.mdp.action_sets))
+        return ControlResult(
+            mode=self.mode,
+            alpha=self.alpha,
+            v1=step.v1,
+            v2=step.v2,
+            q1=q1,
+            q2=(self.q_star - self.alpha * q1) / (1.0 - self.alpha),
+            action_sets=sets,
+            v_star=self.v_star,
+            residual=run.residual,
+            iterations=run.iterations,
+        )
+
+
 def svi(
     mdp: Mdp,
     alpha: float,
@@ -146,55 +199,11 @@ def svi(
     Convergence is geometric whenever gamma * max(1, alpha / (1 - alpha))
     is below one; for alpha past that point the sweep can expand and the
     iteration is only attempted, with ConvergenceError on exhaustion.
-    q2 reports the complementary tail (v_star - alpha * q1) / (1 - alpha),
-    which is the right tail mean exactly on admissible entries.
+    See ``ControlSweeps.result`` for q2 and the action sets.
     """
-    _check_alpha(alpha)
-    if mode not in ("safe", "risky"):
-        raise DomainError(f"mode must be 'safe' or 'risky', got {mode!r}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be positive, got {max_iter}")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    risky = mode == "risky"
-    q_star = _require_balanced(mdp, balance_tol)
-    mask = mdp.action_mask
-    v_star = _masked(q_star, mask, -np.inf).max(axis=1)
-
-    v1 = np.zeros(mdp.n_states)
-    v2 = (v_star - alpha * v1) / (1.0 - alpha)
-    for it in range(1, max_iter + 1):
-        step = _control_step(mdp, v_star, v1, v2, alpha, risky)
-        residual = float(np.abs(step.v1 - v1).max())
-        v1, v2 = step.v1, step.v2
-        if residual <= tol:
-            q1 = step.q1
-            q2 = (q_star - alpha * q1) / (1.0 - alpha)
-            masked = _masked(q1, mask, np.inf if risky else -np.inf)
-            pick = masked.min(axis=1) if risky else masked.max(axis=1)
-            sets = []
-            for x, group in enumerate(mdp.action_sets):
-                if risky:
-                    sets.append(tuple(a for a in group if q1[x, a] <= pick[x] + tie_tol))
-                else:
-                    sets.append(tuple(a for a in group if q1[x, a] >= pick[x] - tie_tol))
-            return ControlResult(
-                mode=mode,
-                alpha=alpha,
-                v1=v1,
-                v2=v2,
-                q1=q1,
-                q2=q2,
-                action_sets=tuple(sets),
-                v_star=v_star,
-                residual=residual,
-                iterations=it,
-            )
-    raise ConvergenceError(
-        f"{mode} control not converged after {max_iter} sweeps (residual {residual})",
-        residual=residual,
-        iterations=max_iter,
-    )
+    sweeps = ControlSweeps(mdp, alpha, mode, balance_tol)
+    run = run_sweeps(sweeps, tol, max_iter).require_converged(f"{mode} control")
+    return sweeps.result(run, tie_tol)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Each application pushes every entry's distribution through the dynamics:
 atom counts multiply by up to the number of supported (state, action)
 pairs, so repeated application grows exponentially. ``dbo_iterate`` fails
-loudly on a configurable atom budget; ``return_avars`` switches to an
-exact lazy tree walk (see ``returns.py``) when the dense table would not
-fit.
+loudly on a configurable atom budget; ``return_avars`` gets the k-step tail
+means from an exact lazy tree walk (see ``returns.py``) that never builds
+the table.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDist, avar_left, avar_right, mix, pushforward_affine
+from .dist import DiscreteDist, mix, pushforward_affine
 from .errors import DomainError, ResourceError, StructuralError
 from .mdp import Mdp, Policy, check_policy
 from .returns import exact_return_avars
@@ -151,21 +151,6 @@ class ReturnAvars:
     right: np.ndarray
     error_bound: float
     k: int
-    engine: str
-
-
-def _dense_growth(mdp: Mdp, policy: Policy, k: int, cap: int) -> int:
-    """Upper bound on total atoms after k steps without merging."""
-    counts = np.ones((mdp.n_states, mdp.n_actions), dtype=np.int64)
-    link = np.einsum("xay,yb->xayb", mdp.transition > 0.0, policy.probs > 0.0)
-    for _ in range(k):
-        counts = np.einsum(
-            "xayb,yb->xa", link, counts, dtype=np.int64
-        )
-        total = int(counts.sum())
-        if total > cap:
-            return total
-    return int(counts.sum())
 
 
 def return_avars(
@@ -173,7 +158,6 @@ def return_avars(
     policy: Policy,
     alpha: float,
     k: int,
-    atom_cap: int = ATOM_CAP,
     node_cap: int = 2_000_000,
 ) -> ReturnAvars:
     """Per-(x, a) left/right tail means of the k-step return distribution.
@@ -181,10 +165,8 @@ def return_avars(
     The distribution is the k-fold operator image of the point mass at
     zero; truncating at k costs at most gamma^k * max|r| / (1 - gamma) in
     the uniform quantile distance, which bounds the tail-mean error and is
-    returned alongside the estimates.
-
-    Small tables are materialized directly; otherwise the identical
-    quantities are computed by an exact lazy traversal of the outcome tree.
+    returned alongside the estimates. The tail means are exact, computed by
+    a lazy traversal of the outcome tree.
     """
     check_policy(mdp, policy)
     if not 0.0 < alpha < 1.0:
@@ -193,14 +175,5 @@ def return_avars(
         raise DomainError(f"need at least one step, got {k}")
     span = mdp.reward_span()
     bound = mdp.gamma**k * span / (1.0 - mdp.gamma) if mdp.gamma > 0.0 else 0.0
-    if _dense_growth(mdp, policy, k, atom_cap) <= atom_cap:
-        df = dbo_iterate(mdp, policy, DistFunction.dirac_zero(mdp), k, atom_cap=atom_cap)
-        left = np.array(
-            [[avar_left(d, alpha) for d in row] for row in df.dists]
-        )
-        right = np.array(
-            [[avar_right(d, 1.0 - alpha) for d in row] for row in df.dists]
-        )
-        return ReturnAvars(left, right, bound, k, "dense")
     left, right = exact_return_avars(mdp, policy, alpha, k, node_cap=node_cap)
-    return ReturnAvars(left, right, bound, k, "lazy")
+    return ReturnAvars(left, right, bound, k)

@@ -10,11 +10,21 @@ atom lists are ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .mdp import DEFAULT_MAX_ITER, DEFAULT_TOL, Mdp, Policy, check_policy
+from .dist import left_tail_weights, right_tail_weights
+from .errors import DomainError
+from .mdp import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    Mdp,
+    Policy,
+    check_policy,
+    operator_sweeps,
+    run_sweeps,
+)
 
 ORDER_TOL = 1e-9
 
@@ -91,15 +101,8 @@ def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
     order = np.argsort(vals, axis=2, kind="stable")
     v = np.take_along_axis(vals, order, axis=2)
     w = np.take_along_axis(wts, order, axis=2)
-    cum = np.cumsum(w, axis=2)
-    before = cum - w
-    left_w = np.clip(np.minimum(w, alpha - before), 0.0, None)
-    # (cum - 1) + level instead of cum - (1 - level): keeps the top particle
-    # exact when the cumulative sum lands on 1.0 (same trick as the
-    # distribution-level tail means)
-    right_w = np.clip(np.minimum(w, (cum - 1.0) + (1.0 - alpha)), 0.0, None)
-    q1 = (left_w * v).sum(axis=2) / alpha
-    q2 = (right_w * v).sum(axis=2) / (1.0 - alpha)
+    q1 = (left_tail_weights(w, alpha) * v).sum(axis=2) / alpha
+    q2 = (right_tail_weights(w, 1.0 - alpha) * v).sum(axis=2) / (1.0 - alpha)
     return DoubleQ(q1, q2, alpha)
 
 
@@ -111,6 +114,18 @@ class SpeSolve:
     residual: float
     iterations: int
     history: tuple[float, ...] | None = None
+
+
+def _pair_change(new: DoubleQ, old: DoubleQ) -> float:
+    return float(max(np.abs(new.q1 - old.q1).max(), np.abs(new.q2 - old.q2).max()))
+
+
+def pair_sweeps(mdp: Mdp, policy: Policy, alpha: float) -> Iterator[tuple[DoubleQ, float]]:
+    """Sweeps of the projected operator from the zero pair; residuals span both tables."""
+    check_policy(mdp, policy)
+    return operator_sweeps(
+        lambda dq: diatomic_bellman_apply(mdp, policy, dq), DoubleQ.zeros(mdp, alpha), _pair_change
+    )
 
 
 def spe(
@@ -127,27 +142,15 @@ def spe(
     so the iteration converges geometrically from any start; zero is the
     conventional one. Residual is the sup-norm change of the last sweep.
     """
-    check_policy(mdp, policy)
-    dq = DoubleQ.zeros(mdp, alpha)
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be positive, got {max_iter}")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     history: list[float] = []
-    for it in range(1, max_iter + 1):
-        nxt = diatomic_bellman_apply(mdp, policy, dq)
-        residual = float(
-            max(np.abs(nxt.q1 - dq.q1).max(), np.abs(nxt.q2 - dq.q2).max())
-        )
-        dq = nxt
-        if record_history:
-            history.append(residual)
-        if residual <= tol:
-            return SpeSolve(dq, residual, it, tuple(history) if record_history else None)
-    raise ConvergenceError(
-        f"value pair not converged after {max_iter} sweeps (residual {residual})",
-        residual=residual,
-        iterations=max_iter,
+    run = run_sweeps(
+        pair_sweeps(mdp, policy, alpha),
+        tol,
+        max_iter,
+        on_sweep=(lambda it, dq, residual: history.append(residual)) if record_history else None,
+    ).require_converged("value pair")
+    return SpeSolve(
+        run.value, run.residual, run.iterations, tuple(history) if record_history else None
     )
 
 

@@ -139,17 +139,22 @@ def pushforward_affine(d: DiscreteDist, r0: float, gamma: float) -> DiscreteDist
     return DiscreteDist(r0 + gamma * d.values, d.probs)
 
 
-def _left_tail_weights(probs: np.ndarray, alpha: float) -> np.ndarray:
-    cum = np.cumsum(probs)
-    before = cum - probs
-    return np.clip(np.minimum(probs, alpha - before), 0.0, None)
+def left_tail_weights(w: np.ndarray, alpha: float) -> np.ndarray:
+    """Mass of each particle inside the lowest ``alpha`` fraction.
+
+    ``w`` holds particle masses sorted by ascending value along the last
+    axis; the particle straddling the alpha line contributes fractionally.
+    """
+    cum = np.cumsum(w, axis=-1)
+    return np.clip(np.minimum(w, alpha - (cum - w)), 0.0, None)
 
 
-def _right_tail_weights(probs: np.ndarray, level: float) -> np.ndarray:
-    cum = np.cumsum(probs)
-    # (cum - 1) + level instead of cum - (1 - level): keeps the top atom's
+def right_tail_weights(w: np.ndarray, level: float) -> np.ndarray:
+    """Mass of each particle inside the highest ``level`` fraction; see ``left_tail_weights``."""
+    cum = np.cumsum(w, axis=-1)
+    # (cum - 1) + level instead of cum - (1 - level): keeps the top particle's
     # weight exact when the cumulative sum lands on 1.
-    return np.clip(np.minimum(probs, (cum - 1.0) + level), 0.0, None)
+    return np.clip(np.minimum(w, (cum - 1.0) + level), 0.0, None)
 
 
 def avar_left(d: DiscreteDist, alpha: float) -> float:
@@ -161,7 +166,7 @@ def avar_left(d: DiscreteDist, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"tail fraction must lie in (0, 1), got {alpha}")
-    w = _left_tail_weights(d.probs, alpha)
+    w = left_tail_weights(d.probs, alpha)
     return float(np.dot(w, d.values) / alpha)
 
 
@@ -169,7 +174,7 @@ def avar_right(d: DiscreteDist, level: float) -> float:
     """Mean of the highest ``level`` fraction of outcomes."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"tail fraction must lie in (0, 1), got {level}")
-    w = _right_tail_weights(d.probs, level)
+    w = right_tail_weights(d.probs, level)
     return float(np.dot(w, d.values) / level)
 
 

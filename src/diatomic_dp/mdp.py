@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -14,7 +15,6 @@ from .errors import (
     StructuralError,
 )
 
-ROW_SUM_WARN = 1e-9
 ROW_SUM_REJECT = 1e-6
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -153,9 +153,6 @@ class Policy:
     def support(self, x: int) -> tuple[int, ...]:
         return tuple(int(a) for a in np.flatnonzero(self.probs[x] > 0.0))
 
-    def is_deterministic(self) -> bool:
-        return bool(np.all(self.probs.max(axis=1) == 1.0))
-
 
 def check_policy(mdp: Mdp, policy: Policy) -> None:
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
@@ -185,32 +182,84 @@ def bellman_policy_op(mdp: Mdp, policy: Policy, q: np.ndarray) -> np.ndarray:
     return np.einsum("xay,xay->xa", mdp.transition, target)
 
 
-def _iterate(step, q0: np.ndarray, tol: float, max_iter: int) -> QSolve:
+def operator_sweeps(
+    step: Callable[[Any], Any],
+    start: Any,
+    change: Callable[[Any, Any], float] = lambda new, old: float(np.abs(new - old).max()),
+) -> Iterator[tuple[Any, float]]:
+    """Yield ``(x, change(x, previous))`` for x = step(previous), from ``start`` on, forever.
+
+    The default change is the sup-norm distance between tables.
+    """
+    prev = start
+    while True:
+        x = step(prev)
+        yield x, change(x, prev)
+        prev = x
+
+
+@dataclass(frozen=True)
+class SweepRun:
+    """Where ``run_sweeps`` stopped: the last sweep's output, its residual and the sweep count."""
+
+    value: Any
+    residual: float
+    iterations: int
+    converged: bool
+
+    def require_converged(self, what: str) -> "SweepRun":
+        """This run, or ConvergenceError naming ``what`` if it stopped above tolerance."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"{what} not converged after {self.iterations} sweeps "
+                f"(residual {self.residual})",
+                residual=self.residual,
+                iterations=self.iterations,
+            )
+        return self
+
+
+def run_sweeps(
+    sweeps: Iterable[tuple[Any, float]],
+    tol: float,
+    max_iter: int,
+    on_sweep: Callable[[int, Any, float], None] | None = None,
+) -> SweepRun:
+    """The one fixed-point loop: walk ``sweeps`` until a residual is at most ``tol``.
+
+    Stops after ``max_iter`` sweeps without raising; the returned run says
+    whether it converged. ``on_sweep(iteration, value, residual)`` sees
+    every sweep performed.
+    """
     if max_iter < 1:
         raise DomainError(f"max_iter must be positive, got {max_iter}")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    q = q0
+    sweeps = iter(sweeps)
     for it in range(1, max_iter + 1):
-        q_next = step(q)
-        residual = float(np.abs(q_next - q).max())
-        q = q_next
+        value, residual = next(sweeps)
+        if on_sweep is not None:
+            on_sweep(it, value, residual)
         if residual <= tol:
-            return QSolve(q, residual, it)
-    raise ConvergenceError(
-        f"no fixed point after {max_iter} iterations (residual {residual})",
-        residual=residual,
-        iterations=max_iter,
-    )
+            break
+    return SweepRun(value, residual, it, residual <= tol)
+
+
+def policy_sweeps(mdp: Mdp, policy: Policy) -> Iterator[tuple[np.ndarray, float]]:
+    """Sweeps of the policy's expected Bellman operator from the zero table."""
+    check_policy(mdp, policy)
+    q0 = np.zeros((mdp.n_states, mdp.n_actions))
+    return operator_sweeps(lambda q: bellman_policy_op(mdp, policy, q), q0)
 
 
 def evaluate_policy(
     mdp: Mdp, policy: Policy, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> QSolve:
     """Iterate the policy's Bellman operator to its unique fixed point Q^pi."""
-    check_policy(mdp, policy)
-    q0 = np.zeros((mdp.n_states, mdp.n_actions))
-    return _iterate(lambda q: bellman_policy_op(mdp, policy, q), q0, tol, max_iter)
+    run = run_sweeps(policy_sweeps(mdp, policy), tol, max_iter).require_converged(
+        "policy evaluation"
+    )
+    return QSolve(run.value, run.residual, run.iterations)
 
 
 def _masked_max(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -228,7 +277,9 @@ def value_iteration(
         target = mdp.reward + mdp.gamma * v[None, None, :]
         return np.einsum("xay,xay->xa", mdp.transition, target)
 
-    return _iterate(step, np.zeros((mdp.n_states, mdp.n_actions)), tol, max_iter)
+    q0 = np.zeros((mdp.n_states, mdp.n_actions))
+    run = run_sweeps(operator_sweeps(step, q0), tol, max_iter).require_converged("value iteration")
+    return QSolve(run.value, run.residual, run.iterations)
 
 
 def state_values(q: np.ndarray, policy: Policy) -> np.ndarray:
@@ -257,19 +308,24 @@ def reduce_to_balanced(mdp: Mdp, tie_tol: float = 1e-8) -> Mdp:
     return replace(mdp, action_sets=sets)
 
 
+def _balance(mdp: Mdp) -> tuple[np.ndarray, float, tuple[int, int, int]]:
+    """Q* together with ``balance_gap``'s (gap, witness), from one solve."""
+    q_star = value_iteration(mdp, tol=1e-12).q
+    worst = (0.0, (0, mdp.action_sets[0][0], mdp.action_sets[0][0]))
+    for x, group in enumerate(mdp.action_sets):
+        vals = q_star[x, list(group)]
+        spread = float(vals.max() - vals.min())
+        if spread > worst[0]:
+            worst = (spread, (x, group[int(vals.argmax())], group[int(vals.argmin())]))
+    return q_star, *worst
+
+
 def balance_gap(mdp: Mdp) -> tuple[float, tuple[int, int, int]]:
     """Largest per-state spread of Q* over admissible actions, with its witness.
 
     Returns (gap, (x, best_action, worst_action)).
     """
-    sol = value_iteration(mdp, tol=1e-12)
-    worst = (0.0, (0, mdp.action_sets[0][0], mdp.action_sets[0][0]))
-    for x, group in enumerate(mdp.action_sets):
-        vals = sol.q[x, list(group)]
-        spread = float(vals.max() - vals.min())
-        if spread > worst[0]:
-            worst = (spread, (x, group[int(vals.argmax())], group[int(vals.argmin())]))
-    return worst
+    return _balance(mdp)[1:]
 
 
 def is_balanced(mdp: Mdp, tol: float = 1e-6) -> bool:

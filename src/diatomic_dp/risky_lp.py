@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import BALANCE_TOL, _masked, _require_balanced, svi
+from .control import BALANCE_TOL, _require_balanced, _select, svi
 from .diatomic import _check_alpha
 from .errors import PreconditionError
 from .mdp import Mdp
@@ -57,7 +57,7 @@ def risky_constraint_rows(mdp: Mdp, alpha: float, v_star=None, balance_tol=BALAN
     _check_alpha(alpha)
     q_star = _require_balanced(mdp, tol=balance_tol)
     if v_star is None:
-        v_star = _masked(q_star, mdp.action_mask, -np.inf).max(axis=1)
+        v_star = _select(q_star, mdp.action_mask, risky=False)
     else:
         v_star = np.asarray(v_star, dtype=np.float64)
 

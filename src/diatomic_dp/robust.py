@@ -135,6 +135,7 @@ def _permutation_rows(masses: np.ndarray, alpha: float, seq) -> tuple[np.ndarray
     masses is the (S, A, 2S) alpha-split table; rows come from running the
     cumulative clamps along the visit order and scattering back.
     """
+    # Independent oracle, so not dist's kernel (its cum - alpha clamp differs in the last bit).
     seq = list(seq)
     ms = masses[:, :, seq]
     cum = np.cumsum(ms, axis=2)

@@ -11,9 +11,18 @@ import numpy as np
 import pytest
 
 from diatomic_dp.cli import main
-from diatomic_dp.corpus import bundled_corpus, fig1_mdp, random_mdp
+from diatomic_dp.control import svi
+from diatomic_dp.corpus import bundled_corpus, fig1_mdp, random_mdp, stock_corpus
 from diatomic_dp.diatomic import spe
-from diatomic_dp.mdp import Policy, is_balanced, load_mdp, save_mdp, value_iteration
+from diatomic_dp.mdp import (
+    Policy,
+    evaluate_policy,
+    is_balanced,
+    load_mdp,
+    save_mdp,
+    state_values,
+    value_iteration,
+)
 
 
 @pytest.fixture()
@@ -310,7 +319,54 @@ class TestBundledCorpus:
         assert np.allclose(sol.q, [[2.0, 2.0], [4.0, 4.0]], atol=1e-9)
 
 
+class TestLibraryParity:
+    """The iterative commands write exactly what the library solvers return."""
+
+    @pytest.mark.parametrize("name", ["fig1", "balanced_s2_seed107", "balanced_s3_seed302"])
+    def test_results_equal_library_output(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        save_mdp(dict(stock_corpus())[name], path)
+        mdp = load_mdp(str(path))
+        policy = Policy.uniform(mdp)
+
+        def run(*argv):
+            out = tmp_path / "-".join(argv)
+            assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0
+            return read_result(out)
+
+        def same(got, want):
+            assert np.array_equal(np.asarray(got), np.asarray(want))
+
+        got = run("eval")
+        want = evaluate_policy(mdp, policy)
+        for key, value in [("q", want.q), ("v", state_values(want.q, policy))]:
+            same(got[key], value)
+        assert (got["residual"], got["iterations"]) == (want.residual, want.iterations)
+
+        got = run("spe", "--alpha", "0.3")
+        want = spe(mdp, policy, 0.3)
+        for key in ("q1", "q2", "mean"):
+            same(got[key], getattr(want.double_q, key))
+        assert (got["residual"], got["iterations"]) == (want.residual, want.iterations)
+
+        for mode in ("safe", "risky"):
+            got = run(mode, "--alpha", "0.3")
+            want = svi(mdp, 0.3, mode=mode)
+            for key in ("v1", "v2", "q1", "q2", "v_star"):
+                same(got[key], getattr(want, key))
+            assert got["action_sets"] == [list(group) for group in want.action_sets]
+            assert (got["residual"], got["iterations"]) == (want.residual, want.iterations)
+
+
 class TestErrorMapping:
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["eval", "spe", "safe", "risky"])
+    def test_nonpositive_max_iter_exits_2(self, command, max_iter, fig1_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([command, fig1_path, "--max-iter", max_iter, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: max_iter must be positive")
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["eval", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 1
