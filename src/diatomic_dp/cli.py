@@ -33,7 +33,18 @@ from .errors import (
     PropertyFailure,
     SolverError,
 )
-from .mdp import Mdp, Policy, SweepRun, load_mdp, policy_sweeps, run_sweeps, state_values
+from .mdp import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    Mdp,
+    Policy,
+    SweepRun,
+    load_mdp,
+    policy_sweeps,
+    read_json,
+    run_sweeps,
+    state_values,
+)
 from .risky_lp import build_risky_primal, duality_gap_check, risky_constraint_rows
 from .robust import worst_best_case
 
@@ -99,10 +110,12 @@ def _parse_policy(mdp: Mdp, text: str) -> Policy:
             ) from None
     if text.lstrip().startswith("["):
         try:
-            rows = json.loads(text)
+            rows = np.asarray(json.loads(text), dtype=np.float64)
         except json.JSONDecodeError as exc:
             raise InputError(f"inline policy is not valid JSON: {exc.msg}") from exc
-        return Policy(np.asarray(rows, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"inline policy is not a numeric table: {exc}") from exc
+        return Policy(rows)
     raise InputError(
         f"policy {text!r} not understood; use 'uniform', 'always:<action>' "
         "or an inline JSON table"
@@ -270,7 +283,7 @@ def _cmd_robust_verify(args) -> int:
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
     res = worst_best_case(mdp, policy, args.alpha)
-    sol = spe(mdp, policy, args.alpha, tol=min(args.tol, 1e-10))
+    sol = spe(mdp, policy, args.alpha, tol=min(args.tol, DEFAULT_TOL))
     supports = [list(policy.support(x)) for x in range(mdp.n_states)]
     v1, v2 = (
         np.array([float(policy.probs[x, sup] @ table[x, sup]) for x, sup in enumerate(supports)])
@@ -332,9 +345,7 @@ def _cmd_risky_lp(args) -> int:
     _write_result(
         args,
         {
-            "params": _params(
-                args, alpha=args.alpha, nu0=None if nu0 is None else nu0
-            ),
+            "params": _params(args, alpha=args.alpha, nu0=nu0),
             "ok": report.ok,
             "primal_objective": report.primal_objective,
             "dual_objective": report.dual_objective,
@@ -356,15 +367,7 @@ def _cmd_risky_lp(args) -> int:
 
 
 def _load_dist(path: str) -> DiscreteDist:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise InputError(f"{path}: expected a JSON list of {{value, prob}} entries")
     try:
@@ -404,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("path", help="MDP JSON file (distribution JSON for avar)")
         cmd.add_argument("--out", default=".", help="output directory for artifacts")
-        cmd.add_argument("--tol", type=float, default=1e-10)
-        cmd.add_argument("--max-iter", type=int, default=10_000)
+        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        cmd.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--gamma", type=float, default=None, help="discount override")
         if alpha:

@@ -15,32 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import _check_alpha, spe
+from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, spe
 from .dist import left_tail_weights
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .mdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    REFERENCE_TOL,
     Mdp,
     Policy,
     SweepRun,
-    _balance,
+    _require_balanced,
     operator_sweeps,
+    optimal_action_sets,
     run_sweeps,
 )
-
-BALANCE_TOL = 1e-6
-
-
-def _require_balanced(mdp: Mdp, tol: float = BALANCE_TOL) -> np.ndarray:
-    """Return the optimal table, or raise naming the offending state."""
-    q_star, gap, (x, best, worst) = _balance(mdp)
-    if gap > tol:
-        raise PreconditionError(
-            f"not balanced: state {x} has Q* spread {gap:.3e} between "
-            f"actions {best} and {worst} (tolerance {tol})"
-        )
-    return q_star
 
 
 def _select(q: np.ndarray, mask: np.ndarray, risky: bool) -> np.ndarray:
@@ -79,36 +68,30 @@ class ControlStep:
     v2: np.ndarray
 
 
-def _control_step(
-    mdp: Mdp, v1, v2, alpha: float, risky: bool, v_star=None, balance_tol: float = BALANCE_TOL
-) -> ControlStep:
+def _control_step(mdp: Mdp, v1, v2, alpha: float, risky: bool, v_star=None) -> ControlStep:
     _check_alpha(alpha)
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
     if v_star is None:
-        v_star = _select(_require_balanced(mdp, balance_tol), mdp.action_mask, risky=False)
+        _, v_star = _require_balanced(mdp)
     v_star = np.asarray(v_star, dtype=np.float64)
     q1 = _tail_q_table(mdp, v1, v2, alpha)
     v1_next = _select(q1, mdp.action_mask, risky)
     return ControlStep(q1, v1_next, (v_star - alpha * v1_next) / (1.0 - alpha))
 
 
-def safe_bellman_apply(
-    mdp: Mdp, v1, v2, alpha: float, v_star=None, balance_tol: float = BALANCE_TOL
-) -> ControlStep:
+def safe_bellman_apply(mdp: Mdp, v1, v2, alpha: float, v_star=None) -> ControlStep:
     """One safe sweep: best-case selection of the worst-tail table.
 
     The MDP must be balanced; pass v_star to skip the internal optimal
     solve when calling in a loop.
     """
-    return _control_step(mdp, v1, v2, alpha, False, v_star, balance_tol)
+    return _control_step(mdp, v1, v2, alpha, False, v_star)
 
 
-def risky_bellman_apply(
-    mdp: Mdp, v1, v2, alpha: float, v_star=None, balance_tol: float = BALANCE_TOL
-) -> ControlStep:
+def risky_bellman_apply(mdp: Mdp, v1, v2, alpha: float, v_star=None) -> ControlStep:
     """One risky sweep: the right tail is maximized by minimizing the left."""
-    return _control_step(mdp, v1, v2, alpha, True, v_star, balance_tol)
+    return _control_step(mdp, v1, v2, alpha, True, v_star)
 
 
 @dataclass(frozen=True)
@@ -133,9 +116,7 @@ class ControlSweeps:
     and ``result`` extracts the control solution from the last sweep.
     """
 
-    def __init__(
-        self, mdp: Mdp, alpha: float, mode: str = "safe", balance_tol: float = BALANCE_TOL
-    ):
+    def __init__(self, mdp: Mdp, alpha: float, mode: str = "safe"):
         _check_alpha(alpha)
         if mode not in ("safe", "risky"):
             raise DomainError(f"mode must be 'safe' or 'risky', got {mode!r}")
@@ -143,8 +124,7 @@ class ControlSweeps:
         self.alpha = alpha
         self.mode = mode
         self.risky = mode == "risky"
-        self.q_star = _require_balanced(mdp, balance_tol)
-        self.v_star = _select(self.q_star, mdp.action_mask, risky=False)
+        self.q_star, self.v_star = _require_balanced(mdp)
 
     def __iter__(self):
         v1 = np.zeros(self.mdp.n_states)
@@ -158,19 +138,16 @@ class ControlSweeps:
             lambda new, old: float(np.abs(new.v1 - old.v1).max()),
         )
 
-    def result(self, run: SweepRun, tie_tol: float = 1e-8) -> ControlResult:
+    def result(self, run: SweepRun) -> ControlResult:
         """The control solution at the last sweep of ``run``.
 
         q2 reports the complementary tail (v_star - alpha * q1) / (1 - alpha),
         which is the right tail mean exactly on admissible entries. A state's
         action set holds the admissible actions whose q1 is within
-        ``tie_tol`` of the selected one.
+        ``TIE_TOL`` of the selected one.
         """
         step = run.value
         q1 = step.q1
-        pick = _select(q1, self.mdp.action_mask, self.risky)[:, None]
-        tied = q1 <= pick + tie_tol if self.risky else q1 >= pick - tie_tol
-        sets = tuple(tuple(a for a in g if tied[x, a]) for x, g in enumerate(self.mdp.action_sets))
         return ControlResult(
             mode=self.mode,
             alpha=self.alpha,
@@ -178,7 +155,8 @@ class ControlSweeps:
             v2=step.v2,
             q1=q1,
             q2=(self.q_star - self.alpha * q1) / (1.0 - self.alpha),
-            action_sets=sets,
+            # the risky pick is the lowest q1, i.e. the highest -q1
+            action_sets=optimal_action_sets(self.mdp, -q1 if self.risky else q1),
             v_star=self.v_star,
             residual=run.residual,
             iterations=run.iterations,
@@ -191,8 +169,6 @@ def svi(
     mode: str = "safe",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    tie_tol: float = 1e-8,
-    balance_tol: float = BALANCE_TOL,
 ) -> ControlResult:
     """Tail-sensitive value iteration from the zero vector.
 
@@ -201,9 +177,9 @@ def svi(
     iteration is only attempted, with ConvergenceError on exhaustion.
     See ``ControlSweeps.result`` for q2 and the action sets.
     """
-    sweeps = ControlSweeps(mdp, alpha, mode, balance_tol)
+    sweeps = ControlSweeps(mdp, alpha, mode)
     run = run_sweeps(sweeps, tol, max_iter).require_converged(f"{mode} control")
-    return sweeps.result(run, tie_tol)
+    return sweeps.result(run)
 
 
 @dataclass(frozen=True)
@@ -228,11 +204,10 @@ def optimality_certificate(
     mdp: Mdp,
     alpha: float,
     mode: str = "safe",
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
     enumeration_cap: int = 4096,
     n_samples: int = 64,
     seed: int = 0,
-    spe_tol: float = 1e-11,
 ) -> CertificateReport:
     """Verify a control solution by evaluating deterministic policies.
 
@@ -242,9 +217,7 @@ def optimality_certificate(
     enumerated when there are at most ``enumeration_cap``, otherwise a
     seeded sample is drawn and the greedy policy is always included.
     """
-    if mode not in ("safe", "risky"):
-        raise DomainError(f"mode must be 'safe' or 'risky', got {mode!r}")
-    result = svi(mdp, alpha, mode=mode, tol=1e-12)
+    result = svi(mdp, alpha, mode=mode, tol=REFERENCE_TOL)
     risky = mode == "risky"
     greedy = tuple(group[0] for group in result.action_sets)
 
@@ -268,7 +241,7 @@ def optimality_certificate(
     attained = np.inf
     for choices in candidates:
         pi = Policy.deterministic(mdp, choices)
-        dq = spe(mdp, pi, alpha, tol=spe_tol).double_q
+        dq = spe(mdp, pi, alpha, tol=CHECK_SPE_TOL).double_q
         own = dq.q1[np.arange(mdp.n_states), list(choices)]
         violation = float((result.v1 - own).max() if risky else (own - result.v1).max())
         if violation > worst:

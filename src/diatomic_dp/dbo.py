@@ -17,7 +17,7 @@ import numpy as np
 from .dist import DiscreteDist, mix, pushforward_affine
 from .errors import DomainError, ResourceError, StructuralError
 from .mdp import Mdp, Policy, check_policy
-from .returns import exact_return_avars
+from .returns import NODE_CAP, exact_return_avars
 
 ATOM_CAP = 2_000_000
 
@@ -158,7 +158,7 @@ def return_avars(
     policy: Policy,
     alpha: float,
     k: int,
-    node_cap: int = 2_000_000,
+    node_cap: int = NODE_CAP,
 ) -> ReturnAvars:
     """Per-(x, a) left/right tail means of the k-step return distribution.
 
@@ -166,13 +166,8 @@ def return_avars(
     zero; truncating at k costs at most gamma^k * max|r| / (1 - gamma) in
     the uniform quantile distance, which bounds the tail-mean error and is
     returned alongside the estimates. The tail means are exact, computed by
-    a lazy traversal of the outcome tree.
+    a lazy traversal of the outcome tree, which checks the arguments.
     """
-    check_policy(mdp, policy)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if k < 1:
-        raise DomainError(f"need at least one step, got {k}")
     span = mdp.reward_span()
     bound = mdp.gamma**k * span / (1.0 - mdp.gamma) if mdp.gamma > 0.0 else 0.0
     left, right = exact_return_avars(mdp, policy, alpha, k, node_cap=node_cap)

@@ -27,6 +27,8 @@ from .mdp import (
 )
 
 ORDER_TOL = 1e-9
+CHECK_TOL = 1e-8  # default verdict tolerance of the coherence, certificate and axiom checks
+CHECK_SPE_TOL = 1e-11  # fixed-point tolerance of the spe solves inside those checks
 
 
 def _check_alpha(alpha: float) -> None:
@@ -171,9 +173,8 @@ def alpha_coherence(
     mdp: Mdp,
     policy: Policy,
     alpha: float,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
     double_q: DoubleQ | None = None,
-    spe_tol: float = DEFAULT_TOL,
 ) -> CoherenceReport:
     """Check that both tail-mean tables are flat across each support set.
 
@@ -182,7 +183,7 @@ def alpha_coherence(
     """
     check_policy(mdp, policy)
     if double_q is None:
-        double_q = spe(mdp, policy, alpha, tol=spe_tol).double_q
+        double_q = spe(mdp, policy, alpha).double_q
     worst = 0.0
     witness = None
     for x in range(mdp.n_states):

@@ -76,6 +76,8 @@ class DiscreteDist:
             raise DomainError(f"negative atom probability: {probs.min()}")
         probs = np.maximum(probs, 0.0)
         total = probs.sum()
+        if not math.isfinite(total):  # a NaN or infinite probability spoils the sum
+            raise DomainError("atom probabilities contain non-finite entries")
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(f"atom probabilities sum to {total}, expected 1")
         probs = probs / total

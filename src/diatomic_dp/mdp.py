@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -12,12 +13,16 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InputError,
+    PreconditionError,
     StructuralError,
 )
 
 ROW_SUM_REJECT = 1e-6
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
+REFERENCE_TOL = 1e-12  # solves that later steps take as exact (Q*, reference fixed points)
+BALANCE_TOL = 1e-6  # largest Q* spread over a state's actions that still counts as balanced
+TIE_TOL = 1e-8  # actions within this of a state's best value are tied
 
 
 def _normalize_rows(rows: np.ndarray, what: str) -> np.ndarray:
@@ -30,6 +35,8 @@ def _normalize_rows(rows: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(f"{what} contains negative entries (min {rows.min()})")
     rows = np.maximum(rows, 0.0)
     sums = rows.sum(axis=-1)
+    if not np.all(np.isfinite(sums)):  # a NaN or infinite entry spoils its row's sum
+        raise DomainError(f"{what} contains non-finite entries")
     if np.any(np.abs(sums - 1.0) > ROW_SUM_REJECT):
         bad = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
         raise DomainError(
@@ -94,12 +101,13 @@ class Mdp:
     def n_actions(self) -> int:
         return self.transition.shape[1]
 
-    @property
+    @cached_property
     def action_mask(self) -> np.ndarray:
-        """Boolean (S, A) mask of admissible pairs."""
+        """Boolean (S, A) mask of admissible pairs, built once and read-only."""
         mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
         for x, group in enumerate(self.action_sets):
             mask[x, list(group)] = True
+        mask.setflags(write=False)
         return mask
 
     @property
@@ -129,10 +137,7 @@ class Policy:
 
     @staticmethod
     def uniform(mdp: Mdp) -> "Policy":
-        p = np.zeros((mdp.n_states, mdp.n_actions))
-        for x, group in enumerate(mdp.action_sets):
-            p[x, list(group)] = 1.0 / len(group)
-        return Policy(p)
+        return Policy(mdp.action_mask / mdp.action_mask.sum(axis=1, keepdims=True))
 
     @staticmethod
     def always(mdp: Mdp, action: int) -> "Policy":
@@ -286,31 +291,30 @@ def state_values(q: np.ndarray, policy: Policy) -> np.ndarray:
     return (policy.probs * q).sum(axis=1)
 
 
-def optimal_action_sets(mdp: Mdp, q_star: np.ndarray, tie_tol: float = 1e-8) -> tuple:
-    """Per state, the admissible actions within ``tie_tol`` of the best value."""
+def optimal_action_sets(mdp: Mdp, q_star: np.ndarray) -> tuple:
+    """Per state, the admissible actions within ``TIE_TOL`` of the best value."""
     out = []
     for x, group in enumerate(mdp.action_sets):
         vals = q_star[x, list(group)]
         best = vals.max()
-        out.append(tuple(a for a, v in zip(group, vals) if v >= best - tie_tol))
+        out.append(tuple(a for a, v in zip(group, vals) if v >= best - TIE_TOL))
     return tuple(out)
 
 
-def reduce_to_balanced(mdp: Mdp, tie_tol: float = 1e-8) -> Mdp:
+def reduce_to_balanced(mdp: Mdp) -> Mdp:
     """Restrict each state to its optimal actions.
 
     The returned MDP shares the dense tables; its ``action_sets`` field is
     the per-state list of surviving original action indices (that list is
     the index remapping: nothing is renumbered).
     """
-    sol = value_iteration(mdp, tol=1e-12)
-    sets = optimal_action_sets(mdp, sol.q, tie_tol)
-    return replace(mdp, action_sets=sets)
+    sol = value_iteration(mdp, tol=REFERENCE_TOL)
+    return replace(mdp, action_sets=optimal_action_sets(mdp, sol.q))
 
 
 def _balance(mdp: Mdp) -> tuple[np.ndarray, float, tuple[int, int, int]]:
     """Q* together with ``balance_gap``'s (gap, witness), from one solve."""
-    q_star = value_iteration(mdp, tol=1e-12).q
+    q_star = value_iteration(mdp, tol=REFERENCE_TOL).q
     worst = (0.0, (0, mdp.action_sets[0][0], mdp.action_sets[0][0]))
     for x, group in enumerate(mdp.action_sets):
         vals = q_star[x, list(group)]
@@ -328,10 +332,20 @@ def balance_gap(mdp: Mdp) -> tuple[float, tuple[int, int, int]]:
     return _balance(mdp)[1:]
 
 
-def is_balanced(mdp: Mdp, tol: float = 1e-6) -> bool:
+def is_balanced(mdp: Mdp, tol: float = BALANCE_TOL) -> bool:
     """True when every admissible action is optimal in its state."""
-    gap, _ = balance_gap(mdp)
-    return gap <= tol
+    return _balance(mdp)[1] <= tol
+
+
+def _require_balanced(mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
+    """(Q*, V*) of a balanced MDP, or PreconditionError naming the offending state."""
+    q_star, gap, (x, best, worst) = _balance(mdp)
+    if gap > BALANCE_TOL:
+        raise PreconditionError(
+            f"not balanced: state {x} has Q* spread {gap:.3e} between "
+            f"actions {best} and {worst} (tolerance {BALANCE_TOL})"
+        )
+    return q_star, _masked_max(q_star, mdp.action_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +353,14 @@ def is_balanced(mdp: Mdp, tol: float = 1e-6) -> bool:
 # ---------------------------------------------------------------------------
 
 def mdp_from_dict(doc: dict) -> Mdp:
-    for key in ("gamma", "states", "actions"):
-        if key not in doc:
-            raise InputError(f"missing required key '{key}' in MDP document")
-    states = list(doc["states"])
-    actions = list(doc["actions"])
+    try:
+        gamma = float(doc["gamma"])
+        states = list(doc["states"])
+        actions = list(doc["actions"])
+    except KeyError as exc:
+        raise InputError(f"missing required key {exc} in MDP document") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad gamma, states or actions in MDP document ({exc})") from exc
     if not states or not actions:
         raise InputError("states and actions must be non-empty lists")
     s, a = len(states), len(actions)
@@ -351,6 +368,8 @@ def mdp_from_dict(doc: dict) -> Mdp:
     reward = np.zeros((s, a, s))
 
     def fill(entries, table, value_key, what):
+        if not isinstance(entries, list):
+            raise InputError(f"{what} entries must be a JSON list, got {type(entries).__name__}")
         for i, e in enumerate(entries):
             try:
                 x, j, y, v = int(e["x"]), int(e["a"]), int(e["next"]), float(e[value_key])
@@ -366,7 +385,7 @@ def mdp_from_dict(doc: dict) -> Mdp:
         return Mdp(
             transition=transition,
             reward=reward,
-            gamma=float(doc["gamma"]),
+            gamma=gamma,
             states=tuple(str(n) for n in states),
             actions=tuple(str(n) for n in actions),
         )
@@ -395,14 +414,19 @@ def mdp_to_dict(mdp: Mdp) -> dict:
     }
 
 
-def load_mdp(path: str) -> Mdp:
+def read_json(path: str) -> Any:
+    """The parsed JSON file, or InputError naming the path (and line and column)."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def load_mdp(path: str) -> Mdp:
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
     return mdp_from_dict(doc)

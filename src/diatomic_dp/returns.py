@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diatomic import _check_alpha
 from .errors import DomainError, ResourceError
 from .mdp import Mdp, Policy, check_policy
 
 _MARGIN = 1e-12  # resolution margin around the bracket (times scale)
+NODE_CAP = 2_000_000  # default budget of return-tree nodes visited per entry
 
 
 class _ReturnTree:
@@ -165,9 +167,10 @@ def exact_return_avars(
     policy: Policy,
     alpha: float,
     k: int,
-    node_cap: int = 2_000_000,
+    node_cap: int = NODE_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left/right tail means of every entry's k-step return distribution."""
+    _check_alpha(alpha)
     tree = _ReturnTree(mdp, policy, k, node_cap)
     left = np.zeros((mdp.n_states, mdp.n_actions))
     right = np.zeros((mdp.n_states, mdp.n_actions))

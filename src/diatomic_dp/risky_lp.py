@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import BALANCE_TOL, _require_balanced, _select, svi
+from .control import svi
 from .diatomic import _check_alpha
 from .errors import PreconditionError
-from .mdp import Mdp
+from .mdp import Mdp, _require_balanced
 from .robust import (
     _augmented_masses,
     _permutation_rows,
@@ -46,7 +46,7 @@ def _validated_nu0(mdp: Mdp, nu0) -> np.ndarray:
     return nu0
 
 
-def risky_constraint_rows(mdp: Mdp, alpha: float, v_star=None, balance_tol=BALANCE_TOL):
+def risky_constraint_rows(mdp: Mdp, alpha: float):
     """The shared row system (matrix, rhs, labels) behind both LPs.
 
     Row (x, a, sigma) bounds V1(x) by the worst-substate one-step value
@@ -55,11 +55,7 @@ def risky_constraint_rows(mdp: Mdp, alpha: float, v_star=None, balance_tol=BALAN
     Labels carry (x, a, sigma sequence) in row order.
     """
     _check_alpha(alpha)
-    q_star = _require_balanced(mdp, tol=balance_tol)
-    if v_star is None:
-        v_star = _select(q_star, mdp.action_mask, risky=False)
-    else:
-        v_star = np.asarray(v_star, dtype=np.float64)
+    _, v_star = _require_balanced(mdp)
 
     s = mdp.n_states
     masses = _augmented_masses(mdp, alpha)
@@ -85,12 +81,10 @@ def risky_constraint_rows(mdp: Mdp, alpha: float, v_star=None, balance_tol=BALAN
     return np.array(rows), np.array(rhs), tuple(labels)
 
 
-def build_risky_primal(
-    mdp: Mdp, alpha: float, nu0=None, v_star=None, balance_tol=BALANCE_TOL
-):
+def build_risky_primal(mdp: Mdp, alpha: float, nu0=None) -> LpProblem:
     """Maximize (1 - gamma) <nu0, V1> under every (x, a, sigma) bound."""
     nu0 = _validated_nu0(mdp, nu0)
-    mat, rhs, _ = risky_constraint_rows(mdp, alpha, v_star, balance_tol)
+    mat, rhs, _ = risky_constraint_rows(mdp, alpha)
     n = mdp.n_states
     return LpProblem(
         c=(1.0 - mdp.gamma) * nu0,
@@ -103,24 +97,25 @@ def build_risky_primal(
     )
 
 
-def build_risky_dual(
-    mdp: Mdp, alpha: float, nu0=None, v_star=None, balance_tol=BALANCE_TOL
-):
+def _dual_of(primal: LpProblem) -> LpProblem:
     """Occupancy-style minimization over one multiplier per primal row.
 
     Transpose of the primal system: equality row per state balancing the
     multiplier mass against discounted worst-substate inflow, multipliers
     nonnegative, objective the rows' reward-plus-optimum payouts.
     """
-    nu0 = _validated_nu0(mdp, nu0)
-    mat, rhs, _ = risky_constraint_rows(mdp, alpha, v_star, balance_tol)
     return LpProblem(
-        c=rhs,
-        a=mat.T,
-        row_senses=[EQ] * mdp.n_states,
-        b=(1.0 - mdp.gamma) * nu0,
+        c=primal.b,
+        a=primal.a.T,
+        row_senses=[EQ] * primal.n_vars,
+        b=primal.c,
         sense="min",
     )
+
+
+def build_risky_dual(mdp: Mdp, alpha: float, nu0=None) -> LpProblem:
+    """The dual of ``build_risky_primal`` (see ``_dual_of``)."""
+    return _dual_of(build_risky_primal(mdp, alpha, nu0))
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,9 @@ def duality_gap_check(
     within tol, and the primal argmax matching the recursion's tail values
     entrywise within tol.
     """
-    primal = solve(build_risky_primal(mdp, alpha, nu0))
-    dual = solve(build_risky_dual(mdp, alpha, nu0))
+    problem = build_risky_primal(mdp, alpha, nu0)
+    primal = solve(problem)
+    dual = solve(_dual_of(problem))
     if not (primal.optimal and dual.optimal):
         return GapReport(
             ok=False,

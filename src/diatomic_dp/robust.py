@@ -18,13 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import _check_alpha, alpha_coherence, spe
+from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, alpha_coherence, spe
 from .errors import DomainError, PreconditionError, PropertyFailure, ResourceError
-from .mdp import DEFAULT_MAX_ITER, DEFAULT_TOL, Mdp, Policy, check_policy, evaluate_policy
+from .mdp import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    REFERENCE_TOL,
+    Mdp,
+    Policy,
+    check_policy,
+    evaluate_policy,
+)
 
 PERMUTATION_STATE_CAP = 4
 CANDIDATE_CAP = 1_000_000
 _SOLVE_CHUNK = 65_536
+ATTAIN_TOL = 1e-9  # a candidate within this of both extremes attains them
+SLACK_TOL = 1e-9  # numerical allowance on the tail-bracketing slacks
 
 
 def worst_sub(x: int) -> int:
@@ -99,16 +109,17 @@ class ConstrainedPermutation:
         return tuple(int(s) for s in np.argsort(self.ranks, kind="stable"))
 
 
-def enumerate_constrained_permutations(n_states: int, cap: int = PERMUTATION_STATE_CAP):
+def enumerate_constrained_permutations(n_states: int):
     """All visit orders keeping each worst substate before its best one.
 
-    There are (2n)!/2^n of them; the default cap keeps that at 2520.
+    There are (2n)!/2^n of them; PERMUTATION_STATE_CAP keeps that at 2520.
     """
     if n_states < 1:
         raise DomainError(f"need at least one state, got {n_states}")
-    if n_states > cap:
+    if n_states > PERMUTATION_STATE_CAP:
         raise ResourceError(
-            f"permutation enumeration over {n_states} states exceeds the cap of {cap}"
+            f"permutation enumeration over {n_states} states exceeds the cap of "
+            f"{PERMUTATION_STATE_CAP}"
         )
     for seq in itertools.permutations(range(2 * n_states)):
         ok = True
@@ -300,13 +311,20 @@ def _support_pairs(mdp: Mdp, policy: Policy) -> list[tuple[int, int]]:
     return [(x, a) for x in range(mdp.n_states) for a in policy.support(x)]
 
 
+def _require_coherent(mdp: Mdp, policy: Policy, alpha: float) -> None:
+    """PreconditionError naming the widest spread unless the policy is alpha-coherent."""
+    coh = alpha_coherence(mdp, policy, alpha)
+    if not coh.ok:
+        raise PreconditionError(
+            f"policy is not coherent at level {alpha}: value spread "
+            f"{coh.max_spread:.3e} at state/actions {coh.witness}"
+        )
+
+
 def worst_best_case(
     mdp: Mdp,
     policy: Policy,
     alpha: float,
-    coherence_tol: float = 1e-8,
-    tie_tol: float = 1e-9,
-    state_cap: int = PERMUTATION_STATE_CAP,
     candidate_cap: int = CANDIDATE_CAP,
 ) -> WorstBestResult:
     """Brute-force the value extremes over permutation-built kernels.
@@ -320,21 +338,16 @@ def worst_best_case(
     """
     _check_alpha(alpha)
     check_policy(mdp, policy)
-    if mdp.n_states > state_cap:
+    if mdp.n_states > PERMUTATION_STATE_CAP:
         raise ResourceError(
-            f"{mdp.n_states} states exceed the enumeration cap of {state_cap}"
+            f"{mdp.n_states} states exceed the enumeration cap of {PERMUTATION_STATE_CAP}"
         )
-    coh = alpha_coherence(mdp, policy, alpha, tol=coherence_tol)
-    if not coh.ok:
-        raise PreconditionError(
-            f"policy is not coherent at level {alpha}: value spread "
-            f"{coh.max_spread:.3e} at state/actions {coh.witness}"
-        )
+    _require_coherent(mdp, policy, alpha)
 
     s = mdp.n_states
     pairs = _support_pairs(mdp, policy)
     masses = _augmented_masses(mdp, alpha)
-    sequences = [sig.sequence for sig in enumerate_constrained_permutations(s, cap=state_cap)]
+    sequences = [sig.sequence for sig in enumerate_constrained_permutations(s)]
 
     # one (low, high) row pair per visit order, deduplicated per (x, a)
     all_low = np.empty((len(sequences), s, mdp.n_actions, 2 * s))
@@ -384,8 +397,8 @@ def worst_best_case(
 
     v_worst = v_under.min(axis=0)
     v_best = v_over.max(axis=0)
-    attains = (v_under <= v_worst + tie_tol).all(axis=1) & (
-        v_over >= v_best - tie_tol
+    attains = (v_under <= v_worst + ATTAIN_TOL).all(axis=1) & (
+        v_over >= v_best - ATTAIN_TOL
     ).all(axis=1)
     hits = np.flatnonzero(attains)
     if len(hits) == 0:
@@ -436,8 +449,6 @@ def bavar_vs_avar_gap(
     policy: Policy,
     alpha: float,
     k: int,
-    coherence_tol: float = 1e-8,
-    slack_tol: float = 1e-9,
 ) -> BavarGapReport:
     """Check that the projected pair sits inside the true tail means.
 
@@ -448,13 +459,8 @@ def bavar_vs_avar_gap(
     """
     from .dbo import return_avars
 
-    coh = alpha_coherence(mdp, policy, alpha, tol=coherence_tol)
-    if not coh.ok:
-        raise PreconditionError(
-            f"policy is not coherent at level {alpha}: value spread "
-            f"{coh.max_spread:.3e} at state/actions {coh.witness}"
-        )
-    dq = spe(mdp, policy, alpha, tol=1e-12).double_q
+    _require_coherent(mdp, policy, alpha)
+    dq = spe(mdp, policy, alpha, tol=REFERENCE_TOL).double_q
     ra = return_avars(mdp, policy, alpha, k)
     entries = []
     min_slack = np.inf
@@ -468,7 +474,7 @@ def bavar_vs_avar_gap(
             entries.append((x, int(a), left_gap, right_gap))
             min_slack = min(min_slack, left_gap, right_gap)
     return BavarGapReport(
-        ok=min_slack >= -slack_tol,
+        ok=min_slack >= -SLACK_TOL,
         eps_k=ra.error_bound,
         entries=tuple(entries),
         min_slack=float(min_slack),
@@ -496,8 +502,7 @@ def coherence_axioms_check(
     x: int,
     n_trials: int = 50,
     seed: int = 0,
-    tol: float = 1e-8,
-    spe_tol: float = 1e-11,
+    tol: float = CHECK_TOL,
 ) -> AxiomsReport:
     """Exercise the four risk-measure axioms on random reward tables.
 
@@ -516,7 +521,7 @@ def coherence_axioms_check(
     weights = policy.probs[x, sup]
 
     def tails(reward_table):
-        dq = spe(mdp.with_reward(reward_table), policy, alpha, tol=spe_tol).double_q
+        dq = spe(mdp.with_reward(reward_table), policy, alpha, tol=CHECK_SPE_TOL).double_q
         f1 = (1.0 - mdp.gamma) * float(weights @ dq.q1[x, sup])
         f2 = (1.0 - mdp.gamma) * float(weights @ dq.q2[x, sup])
         return f1, f2

@@ -136,11 +136,7 @@ def _run_phase(tab, basis, allowed, log, what: str) -> str:
         state = _bland_step(tab, basis, allowed, log)
         if state != "pivoted":
             return state
-    tail = ", ".join(f"{a}->{e}" for a, e in log[-12:])
-    raise SolverError(
-        f"{what} exceeded {PIVOT_CAP} pivots without terminating; "
-        f"last pivots (leaving->entering): {tail}"
-    )
+    raise SolverError(f"{what} exceeded {PIVOT_CAP} pivots without terminating; " + _log_tail(log))
 
 
 def solve(p: LpProblem) -> LpSolution:

@@ -19,6 +19,7 @@ from diatomic_dp.mdp import (
     evaluate_policy,
     is_balanced,
     load_mdp,
+    mdp_to_dict,
     save_mdp,
     state_values,
     value_iteration,
@@ -365,6 +366,56 @@ class TestErrorMapping:
         out = tmp_path / "run"
         assert main([command, fig1_path, "--max-iter", max_iter, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: max_iter must be positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "patch, policy",
+        [
+            ({"gamma": "abc"}, "uniform"),
+            ({"gamma": None}, "uniform"),
+            ({"states": 5}, "uniform"),
+            ({"transitions": 5}, "uniform"),
+            ({}, '[["a", 1]]'),
+            ({}, "[[1, 0], [0]]"),
+        ],
+        ids=[
+            "gamma-text",
+            "gamma-null",
+            "states-number",
+            "transitions-number",
+            "policy-text",
+            "policy-ragged",
+        ],
+    )
+    def test_malformed_input_exits_1(self, patch, policy, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**mdp_to_dict(fig1_mdp()), **patch}))
+        out = tmp_path / "run"
+        assert main(["eval", str(path), "--policy", policy, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("transition", 1), ("policy", 2), ("atom", 2)],
+    )
+    def test_nan_mass_rejected(self, case, code, fig1_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        if case == "transition":
+            doc = mdp_to_dict(fig1_mdp())
+            doc["transitions"][0]["p"] = float("nan")
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(doc))
+            argv = ["eval", str(path)]
+        elif case == "policy":
+            argv = ["eval", fig1_path, "--policy", "[[NaN, 1], [0, 1]]"]
+        else:
+            path = tmp_path / "dist.json"
+            path.write_text('[{"value": 1, "prob": NaN}, {"value": 2, "prob": 1}]')
+            argv = ["avar", str(path)]
+        assert main([*argv, "--out", str(out)]) == code
+        assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path):

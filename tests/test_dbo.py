@@ -282,6 +282,13 @@ class TestReturnAvars:
         with pytest.raises(DomainError):
             return_avars(fig1, pi, alpha=0.5, k=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_exact_tails_reject_bad_level(self, fig1, alpha):
+        with pytest.raises(DomainError):
+            exact_return_avars(fig1, Policy.uniform(fig1), alpha, 5)
+        with pytest.raises(DomainError):
+            return_avars(fig1, Policy.uniform(fig1), alpha, 5)
+
     def test_node_budget_enforced(self, fig1):
         with pytest.raises(ResourceError, match="node"):
             exact_return_avars(fig1, Policy.uniform(fig1), 0.5, 30, node_cap=3)

@@ -64,6 +64,10 @@ class TestCanonicalForm:
             DiscreteDist([0.0, 1.0], [0.6, 0.6])
         with pytest.raises(DomainError):
             DiscreteDist([0.0, 1.0], [1.3, -0.3])
+        with pytest.raises(DomainError):
+            DiscreteDist([1.0, 2.0], [float("nan"), 1.0])
+        with pytest.raises(DomainError):
+            DiscreteDist([1.0, 2.0], [float("inf"), 1.0])
         with pytest.raises(StructuralError):
             DiscreteDist([0.0, 1.0], [1.0])
 

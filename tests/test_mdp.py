@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ class TestValueIteration:
             assert np.all(step(lo) <= step(hi) + 1e-12)
 
 
+class TestActionMask:
+    def test_mask_is_cached_and_read_only(self, fig1):
+        restricted = replace(fig1, action_sets=((1,), (0, 1)))
+        mask = restricted.action_mask
+        assert mask is restricted.action_mask
+        assert mask.tolist() == [[False, True], [True, True]]
+        assert fig1.action_mask.all()
+        with pytest.raises(ValueError):
+            mask[0, 0] = not mask[0, 0]
+
+
 class TestBalance:
     def test_fig1_is_balanced(self, fig1):
         assert is_balanced(fig1, tol=1e-9)
@@ -267,6 +279,19 @@ class TestJsonInterchange:
         }
         m = mdp_from_dict(doc)
         assert m.transition[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_mass_rejected(self, bad):
+        doc = {
+            "gamma": 0.5,
+            "states": ["s"],
+            "actions": ["a"],
+            "transitions": [{"x": 0, "a": 0, "next": 0, "p": bad}],
+        }
+        with pytest.raises(InputError, match="non-finite"):
+            mdp_from_dict(doc)
+        with pytest.raises(DomainError, match="non-finite"):
+            Policy([[bad, 1.0]])
 
     def test_gamma_out_of_range(self):
         with pytest.raises(InputError):
