@@ -45,24 +45,11 @@ from .mdp import (
     run_sweeps,
     state_values,
 )
-from .risky_lp import build_risky_primal, duality_gap_check, risky_constraint_rows
+from .risky_lp import duality_gap_check
 from .robust import worst_best_case
 
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+# numpy arrays and non-float scalars become plain lists and numbers
+_JSON_FORMAT = dict(indent=2, sort_keys=True, default=lambda o: o.tolist())
 
 
 def _out_dir(args) -> pathlib.Path:
@@ -73,7 +60,7 @@ def _out_dir(args) -> pathlib.Path:
 
 def _write_result(args, payload: dict) -> None:
     with open(_out_dir(args) / "result.json", "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, **_JSON_FORMAT)
         fh.write("\n")
 
 
@@ -284,11 +271,7 @@ def _cmd_robust_verify(args) -> int:
     policy = _parse_policy(mdp, args.policy)
     res = worst_best_case(mdp, policy, args.alpha)
     sol = spe(mdp, policy, args.alpha, tol=min(args.tol, DEFAULT_TOL))
-    supports = [list(policy.support(x)) for x in range(mdp.n_states)]
-    v1, v2 = (
-        np.array([float(policy.probs[x, sup] @ table[x, sup]) for x, sup in enumerate(supports)])
-        for table in (sol.double_q.q1, sol.double_q.q2)
-    )
+    v1, v2 = (state_values(table, policy) for table in (sol.double_q.q1, sol.double_q.q2))
     deviation = float(
         max(np.abs(res.v_worst - v1).max(), np.abs(res.v_best - v2).max())
     )
@@ -309,7 +292,7 @@ def _cmd_robust_verify(args) -> int:
         "kernel": res.kernel.probs,
     }
     _write_result(args, payload)
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json.dumps(payload, **_JSON_FORMAT))
     return 0
 
 
@@ -336,12 +319,10 @@ def _format_lp(problem, labels) -> str:
 def _cmd_risky_lp(args) -> int:
     mdp = _load_mdp(args)
     nu0 = _parse_nu0(args.nu0) if args.nu0 else None
-    if args.dump_lp:
-        _, _, labels = risky_constraint_rows(mdp, args.alpha)
-        problem = build_risky_primal(mdp, args.alpha, nu0)
-        with open(args.dump_lp, "w") as fh:
-            fh.write(_format_lp(problem, labels))
     report = duality_gap_check(mdp, args.alpha, nu0)
+    if args.dump_lp:
+        with open(args.dump_lp, "w") as fh:
+            fh.write(_format_lp(report.problem, report.labels))
     _write_result(
         args,
         {

@@ -21,11 +21,7 @@ from .control import svi
 from .diatomic import _check_alpha
 from .errors import PreconditionError
 from .mdp import Mdp, _require_balanced
-from .robust import (
-    _augmented_masses,
-    _permutation_rows,
-    enumerate_constrained_permutations,
-)
+from .robust import _order_rows
 from .simplex import EQ, LEQ, LpProblem, solve
 
 GAP_TOL = 1e-7
@@ -39,6 +35,8 @@ def _validated_nu0(mdp: Mdp, nu0) -> np.ndarray:
         raise PreconditionError(
             f"initial weights have shape {nu0.shape}, want ({mdp.n_states},)"
         )
+    if not np.isfinite(nu0).all():
+        raise PreconditionError("initial weights contain non-finite entries")
     if nu0.min() <= 0.0:
         raise PreconditionError("initial weights must be strictly positive")
     if abs(nu0.sum() - 1.0) > 1e-9:
@@ -58,35 +56,30 @@ def risky_constraint_rows(mdp: Mdp, alpha: float):
     _, v_star = _require_balanced(mdp)
 
     s = mdp.n_states
-    masses = _augmented_masses(mdp, alpha)
     r_rep = np.repeat(mdp.reward, 2, axis=2)
-    sequences = [sig.sequence for sig in enumerate_constrained_permutations(s)]
-    lows = [_permutation_rows(masses, alpha, seq)[0] for seq in sequences]
-
-    rows, rhs, labels = [], [], []
+    sequences, low, _ = _order_rows(mdp, alpha)
     ratio = alpha / (1.0 - alpha)
+    scale = mdp.gamma / (1.0 - alpha)
+    blocks, rhs, labels = [], [], []
     for x in range(s):
         for a in mdp.action_sets[x]:
-            for seq, low in zip(sequences, lows):
-                low_xa = low[x, a]
-                row = np.zeros(s)
-                row[x] += 1.0
-                row -= mdp.gamma * (low_xa[0::2] - ratio * low_xa[1::2])
-                rows.append(row)
-                rhs.append(
-                    low_xa @ r_rep[x, a]
-                    + mdp.gamma / (1.0 - alpha) * (low_xa[1::2] @ v_star)
-                )
-                labels.append((x, a, seq))
-    return np.array(rows), np.array(rhs), tuple(labels)
+            low_xa = low[:, x, a]
+            block = np.zeros((len(sequences), s))
+            block[:, x] += 1.0
+            block -= mdp.gamma * (low_xa[:, 0::2] - ratio * low_xa[:, 1::2])
+            blocks.append(block)
+            # one 1-D dot per row: a matrix-vector product rounds differently
+            rhs.extend(row @ r_rep[x, a] + scale * (row[1::2] @ v_star) for row in low_xa)
+            labels.extend((x, a, seq) for seq in sequences)
+    return np.concatenate(blocks), np.array(rhs), tuple(labels)
 
 
-def build_risky_primal(mdp: Mdp, alpha: float, nu0=None) -> LpProblem:
-    """Maximize (1 - gamma) <nu0, V1> under every (x, a, sigma) bound."""
+def _primal(mdp: Mdp, alpha: float, nu0) -> tuple[LpProblem, tuple]:
+    """``build_risky_primal``'s problem together with its row labels."""
     nu0 = _validated_nu0(mdp, nu0)
-    mat, rhs, _ = risky_constraint_rows(mdp, alpha)
+    mat, rhs, labels = risky_constraint_rows(mdp, alpha)
     n = mdp.n_states
-    return LpProblem(
+    problem = LpProblem(
         c=(1.0 - mdp.gamma) * nu0,
         a=mat,
         row_senses=[LEQ] * mat.shape[0],
@@ -95,6 +88,12 @@ def build_risky_primal(mdp: Mdp, alpha: float, nu0=None) -> LpProblem:
         lower=np.full(n, -np.inf),
         upper=np.full(n, np.inf),
     )
+    return problem, labels
+
+
+def build_risky_primal(mdp: Mdp, alpha: float, nu0=None) -> LpProblem:
+    """Maximize (1 - gamma) <nu0, V1> under every (x, a, sigma) bound."""
+    return _primal(mdp, alpha, nu0)[0]
 
 
 def _dual_of(primal: LpProblem) -> LpProblem:
@@ -120,7 +119,11 @@ def build_risky_dual(mdp: Mdp, alpha: float, nu0=None) -> LpProblem:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Strong-duality and cross-method agreement for one instance."""
+    """Strong-duality and cross-method agreement for one instance.
+
+    problem is the primal that was solved and labels its rows' (x, a,
+    visit order), as ``risky_constraint_rows`` returns them.
+    """
 
     ok: bool
     gap: float
@@ -128,6 +131,8 @@ class GapReport:
     dual_objective: float
     v1: np.ndarray
     recursion_deviation: float
+    problem: LpProblem
+    labels: tuple
 
 
 def duality_gap_check(
@@ -139,7 +144,7 @@ def duality_gap_check(
     within tol, and the primal argmax matching the recursion's tail values
     entrywise within tol.
     """
-    problem = build_risky_primal(mdp, alpha, nu0)
+    problem, labels = _primal(mdp, alpha, nu0)
     primal = solve(problem)
     dual = solve(_dual_of(problem))
     if not (primal.optimal and dual.optimal):
@@ -150,6 +155,8 @@ def duality_gap_check(
             dual_objective=np.nan,
             v1=np.full(mdp.n_states, np.nan),
             recursion_deviation=np.inf,
+            problem=problem,
+            labels=labels,
         )
     gap = abs(primal.objective_value - dual.objective_value)
     control = svi(mdp, alpha, mode="risky")
@@ -161,4 +168,6 @@ def duality_gap_check(
         dual_objective=dual.objective_value,
         v1=primal.x,
         recursion_deviation=deviation,
+        problem=problem,
+        labels=labels,
     )

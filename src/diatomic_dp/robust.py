@@ -13,6 +13,7 @@ independent route against which the projected fixed points are judged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,21 +21,14 @@ import numpy as np
 
 from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, alpha_coherence, spe
 from .errors import DomainError, PreconditionError, PropertyFailure, ResourceError
-from .mdp import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    REFERENCE_TOL,
-    Mdp,
-    Policy,
-    check_policy,
-    evaluate_policy,
-)
+from .mdp import REFERENCE_TOL, Mdp, Policy, check_policy, state_values
 
 PERMUTATION_STATE_CAP = 4
 CANDIDATE_CAP = 1_000_000
 _SOLVE_CHUNK = 65_536
 ATTAIN_TOL = 1e-9  # a candidate within this of both extremes attains them
 SLACK_TOL = 1e-9  # numerical allowance on the tail-bracketing slacks
+MEMBERSHIP_TOL = 1e-9  # largest constraint violation a member of the uncertainty set may show
 
 
 def worst_sub(x: int) -> int:
@@ -55,6 +49,8 @@ class AugmentedKernel:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 3 or probs.shape[0] != probs.shape[2] or probs.shape[0] % 2:
             raise DomainError(f"augmented kernel shape {probs.shape} is not (2S, A, 2S)")
+        if not np.isfinite(probs).all():
+            raise DomainError("augmented kernel contains non-finite entries")
         if probs.min() < -1e-12:
             raise DomainError(f"negative transition probability: {probs.min()}")
         probs = np.maximum(probs, 0.0)
@@ -109,10 +105,12 @@ class ConstrainedPermutation:
         return tuple(int(s) for s in np.argsort(self.ranks, kind="stable"))
 
 
-def enumerate_constrained_permutations(n_states: int):
+@functools.cache
+def _visit_orders(n_states: int) -> tuple[tuple[int, ...], ...]:
     """All visit orders keeping each worst substate before its best one.
 
-    There are (2n)!/2^n of them; PERMUTATION_STATE_CAP keeps that at 2520.
+    Sequences of doubled states in lexicographic order; there are
+    (2n)!/2^n of them, and PERMUTATION_STATE_CAP keeps that at 2520.
     """
     if n_states < 1:
         raise DomainError(f"need at least one state, got {n_states}")
@@ -121,14 +119,17 @@ def enumerate_constrained_permutations(n_states: int):
             f"permutation enumeration over {n_states} states exceeds the cap of "
             f"{PERMUTATION_STATE_CAP}"
         )
-    for seq in itertools.permutations(range(2 * n_states)):
-        ok = True
-        for x in range(n_states):
-            if seq.index(2 * x) > seq.index(2 * x + 1):
-                ok = False
-                break
-        if ok:
-            yield ConstrainedPermutation.from_sequence(seq)
+    return tuple(
+        seq
+        for seq in itertools.permutations(range(2 * n_states))
+        if all(seq.index(2 * x) < seq.index(2 * x + 1) for x in range(n_states))
+    )
+
+
+def enumerate_constrained_permutations(n_states: int):
+    """``_visit_orders`` as ConstrainedPermutation objects, in the same order."""
+    for seq in _visit_orders(n_states):
+        yield ConstrainedPermutation.from_sequence(seq)
 
 
 def _augmented_masses(mdp: Mdp, alpha: float) -> np.ndarray:
@@ -140,24 +141,38 @@ def _augmented_masses(mdp: Mdp, alpha: float) -> np.ndarray:
     return m
 
 
-def _permutation_rows(masses: np.ndarray, alpha: float, seq) -> tuple[np.ndarray, np.ndarray]:
-    """Worst and best substate rows for every (x, a) under one visit order.
+def _permutation_rows(masses: np.ndarray, alpha: float, seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Worst and best substate rows for every (x, a) under each visit order.
 
-    masses is the (S, A, 2S) alpha-split table; rows come from running the
-    cumulative clamps along the visit order and scattering back.
+    masses is the (S, A, 2S) alpha-split table and seqs an (n_orders, 2S)
+    list of visit orders; the (n_orders, S, A, 2S) rows come from running
+    the cumulative clamps along each order and scattering back.
     """
     # Independent oracle, so not dist's kernel (its cum - alpha clamp differs in the last bit).
-    seq = list(seq)
-    ms = masses[:, :, seq]
-    cum = np.cumsum(ms, axis=2)
+    seqs = np.asarray(seqs)
+    ms = np.moveaxis(masses[:, :, seqs], 2, 0)
+    cum = np.cumsum(ms, axis=3)
     before = cum - ms
     low_sorted = np.clip(np.minimum(ms, alpha - before), 0.0, None) / alpha
     high_sorted = np.clip(np.minimum(ms, cum - alpha), 0.0, None) / (1.0 - alpha)
+    # Scatter into empty_like rather than gather a C-ordered copy: the gathered
+    # layout keeps each row strided, and BLAS rounds risky_lp's 1-D dots by stride.
     low = np.empty_like(low_sorted)
     high = np.empty_like(high_sorted)
-    low[:, :, seq] = low_sorted
-    high[:, :, seq] = high_sorted
+    np.put_along_axis(low, seqs[:, None, None, :], low_sorted, axis=3)
+    np.put_along_axis(high, seqs[:, None, None, :], high_sorted, axis=3)
     return low, high
+
+
+def _order_rows(mdp: Mdp, alpha: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Every visit order with its worst and best rows: (sequences, low, high).
+
+    low[i, x, a] and high[i, x, a] are the substate rows that order
+    sequences[i] induces for (x, a); both are (n_orders, S, A, 2S).
+    """
+    sequences = _visit_orders(mdp.n_states)
+    low, high = _permutation_rows(_augmented_masses(mdp, alpha), alpha, sequences)
+    return sequences, low, high
 
 
 def permutation_kernel(mdp: Mdp, alpha: float, sigma: ConstrainedPermutation) -> AugmentedKernel:
@@ -172,10 +187,10 @@ def permutation_kernel(mdp: Mdp, alpha: float, sigma: ConstrainedPermutation) ->
             f"permutation over {len(sigma.ranks)} substates does not fit "
             f"{mdp.n_states} states"
         )
-    low, high = _permutation_rows(_augmented_masses(mdp, alpha), alpha, sigma.sequence)
+    low, high = _permutation_rows(_augmented_masses(mdp, alpha), alpha, [sigma.sequence])
     probs = np.empty((2 * mdp.n_states, mdp.n_actions, 2 * mdp.n_states))
-    probs[0::2] = low
-    probs[1::2] = high
+    probs[0::2] = low[0]
+    probs[1::2] = high[0]
     return AugmentedKernel(probs)
 
 
@@ -202,18 +217,20 @@ class UncertaintyReport:
         return self.ok
 
 
-def in_uncertainty_set(
-    mdp: Mdp, alpha: float, kernel: AugmentedKernel, tol: float = 1e-9
-) -> UncertaintyReport:
+def _check_fits(mdp: Mdp, kernel: AugmentedKernel) -> None:
+    if kernel.n_states != mdp.n_states or kernel.n_actions != mdp.n_actions:
+        raise DomainError("kernel shape does not match the MDP")
+
+
+def in_uncertainty_set(mdp: Mdp, alpha: float, kernel: AugmentedKernel) -> UncertaintyReport:
     """Check the three defining constraint families entrywise.
 
     Two alpha-weighted marginals must reproduce the original kernel, and
     the worst substate must favor worst successors by the alpha odds ratio.
     """
     _check_alpha(alpha)
+    _check_fits(mdp, kernel)
     p = kernel.probs
-    if kernel.n_states != mdp.n_states or kernel.n_actions != mdp.n_actions:
-        raise DomainError("kernel shape does not match the MDP")
     low_rows, high_rows = p[0::2], p[1::2]
     families = (
         (
@@ -241,21 +258,14 @@ def in_uncertainty_set(
             ),
         ),
     )
-    worst_v = -1.0
-    worst_name = None
-    worst_where = None
-    for name, viol in families:
-        v = float(viol.max())
-        if v > worst_v:
-            worst_v = v
-            worst_name = name
-            worst_where = tuple(int(i) for i in np.unravel_index(viol.argmax(), viol.shape))
-    ok = worst_v <= tol
+    name, viol = max(families, key=lambda family: family[1].max())
+    worst_v = float(viol.max())
+    ok = worst_v <= MEMBERSHIP_TOL
     return UncertaintyReport(
         ok=ok,
         max_violation=worst_v,
-        constraint=None if ok else worst_name,
-        where=None if ok else worst_where,
+        constraint=None if ok else name,
+        where=None if ok else tuple(int(i) for i in np.unravel_index(viol.argmax(), viol.shape)),
     )
 
 
@@ -263,31 +273,24 @@ def _lift_reward(mdp: Mdp) -> np.ndarray:
     return np.repeat(np.repeat(mdp.reward, 2, axis=0), 2, axis=2)
 
 
-def _lift_policy(policy: Policy) -> Policy:
-    return Policy(np.repeat(policy.probs, 2, axis=0))
+def _substate_values(gamma: float, pbar: np.ndarray, rbar: np.ndarray) -> np.ndarray:
+    """Solve (I - gamma P̄) v = r̄ for doubled-chain values, batched over leading axes."""
+    eye = np.eye(pbar.shape[-1])
+    return np.linalg.solve(eye - gamma * pbar, rbar[..., None])[..., 0]
 
 
-def augmented_policy_eval(
-    mdp: Mdp,
-    policy: Policy,
-    kernel: AugmentedKernel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def augmented_policy_eval(mdp: Mdp, policy: Policy, kernel: AugmentedKernel) -> np.ndarray:
     """Expected value of the policy in the doubled chain, per substate.
 
     Rewards and the policy cannot see substates, so they are lifted
     blindly; only the kernel distinguishes worst from best.
     """
     check_policy(mdp, policy)
-    aug = Mdp(
-        transition=kernel.probs,
-        reward=_lift_reward(mdp),
-        gamma=mdp.gamma,
-    )
-    lifted = _lift_policy(policy)
-    sol = evaluate_policy(aug, lifted, tol=tol, max_iter=max_iter)
-    return (lifted.probs * sol.q).sum(axis=1)
+    _check_fits(mdp, kernel)
+    pi = np.repeat(policy.probs, 2, axis=0)
+    pbar = np.einsum("sa,sat->st", pi, kernel.probs)
+    rbar = np.einsum("sa,sat,sat->s", pi, kernel.probs, _lift_reward(mdp))
+    return _substate_values(mdp.gamma, pbar, rbar)
 
 
 @dataclass(frozen=True)
@@ -311,9 +314,9 @@ def _support_pairs(mdp: Mdp, policy: Policy) -> list[tuple[int, int]]:
     return [(x, a) for x in range(mdp.n_states) for a in policy.support(x)]
 
 
-def _require_coherent(mdp: Mdp, policy: Policy, alpha: float) -> None:
+def _require_coherent(mdp: Mdp, policy: Policy, alpha: float, double_q=None) -> None:
     """PreconditionError naming the widest spread unless the policy is alpha-coherent."""
-    coh = alpha_coherence(mdp, policy, alpha)
+    coh = alpha_coherence(mdp, policy, alpha, double_q=double_q)
     if not coh.ok:
         raise PreconditionError(
             f"policy is not coherent at level {alpha}: value spread "
@@ -346,15 +349,9 @@ def worst_best_case(
 
     s = mdp.n_states
     pairs = _support_pairs(mdp, policy)
-    masses = _augmented_masses(mdp, alpha)
-    sequences = [sig.sequence for sig in enumerate_constrained_permutations(s)]
 
     # one (low, high) row pair per visit order, deduplicated per (x, a)
-    all_low = np.empty((len(sequences), s, mdp.n_actions, 2 * s))
-    all_high = np.empty_like(all_low)
-    for i, seq in enumerate(sequences):
-        all_low[i], all_high[i] = _permutation_rows(masses, alpha, seq)
-
+    _, all_low, all_high = _order_rows(mdp, alpha)
     rep_low, rep_high, rep_counts = [], [], []
     for x, a in pairs:
         stacked = np.concatenate([all_low[:, x, a, :], all_high[:, x, a, :]], axis=1)
@@ -372,11 +369,11 @@ def worst_best_case(
             f"{n_cand} kernel candidates exceed the cap of {candidate_cap}"
         )
 
-    r_low = [rl @ _lift_reward(mdp)[2 * x, a] for (x, a), rl in zip(pairs, rep_low)]
-    r_high = [rh @ _lift_reward(mdp)[2 * x + 1, a] for (x, a), rh in zip(pairs, rep_high)]
+    r_lift = _lift_reward(mdp)
+    r_low = [rl @ r_lift[2 * x, a] for (x, a), rl in zip(pairs, rep_low)]
+    r_high = [rh @ r_lift[2 * x + 1, a] for (x, a), rh in zip(pairs, rep_high)]
 
     pi = policy.probs
-    eye = np.eye(2 * s)
     v_under = np.empty((n_cand, s))
     v_over = np.empty((n_cand, s))
     for lo in range(0, n_cand, _SOLVE_CHUNK):
@@ -391,7 +388,7 @@ def worst_best_case(
             pbar[:, 2 * x + 1, :] += w * rep_high[j][idx]
             rbar[:, 2 * x] += w * r_low[j][idx]
             rbar[:, 2 * x + 1] += w * r_high[j][idx]
-        v = np.linalg.solve(eye[None] - mdp.gamma * pbar, rbar[:, :, None])[:, :, 0]
+        v = _substate_values(mdp.gamma, pbar, rbar)
         v_under[lo:hi] = v[:, 0::2]
         v_over[lo:hi] = v[:, 1::2]
 
@@ -459,18 +456,16 @@ def bavar_vs_avar_gap(
     """
     from .dbo import return_avars
 
-    _require_coherent(mdp, policy, alpha)
     dq = spe(mdp, policy, alpha, tol=REFERENCE_TOL).double_q
+    _require_coherent(mdp, policy, alpha, dq)
     ra = return_avars(mdp, policy, alpha, k)
+    v1, v2 = state_values(dq.q1, policy), state_values(dq.q2, policy)
     entries = []
     min_slack = np.inf
     for x in range(mdp.n_states):
-        sup = policy.support(x)
-        v1 = float(np.dot(policy.probs[x, list(sup)], dq.q1[x, list(sup)]))
-        v2 = float(np.dot(policy.probs[x, list(sup)], dq.q2[x, list(sup)]))
-        for a in sup:
-            left_gap = v1 + ra.error_bound - float(ra.left[x, a])
-            right_gap = float(ra.right[x, a]) + ra.error_bound - v2
+        for a in policy.support(x):
+            left_gap = float(v1[x]) + ra.error_bound - float(ra.left[x, a])
+            right_gap = float(ra.right[x, a]) + ra.error_bound - float(v2[x])
             entries.append((x, int(a), left_gap, right_gap))
             min_slack = min(min_slack, left_gap, right_gap)
     return BavarGapReport(
@@ -517,13 +512,10 @@ def coherence_axioms_check(
     if not 0 <= x < mdp.n_states:
         raise DomainError(f"state {x} out of range")
 
-    sup = list(policy.support(x))
-    weights = policy.probs[x, sup]
-
     def tails(reward_table):
         dq = spe(mdp.with_reward(reward_table), policy, alpha, tol=CHECK_SPE_TOL).double_q
-        f1 = (1.0 - mdp.gamma) * float(weights @ dq.q1[x, sup])
-        f2 = (1.0 - mdp.gamma) * float(weights @ dq.q2[x, sup])
+        f1 = (1.0 - mdp.gamma) * float(state_values(dq.q1, policy)[x])
+        f2 = (1.0 - mdp.gamma) * float(state_values(dq.q2, policy)[x])
         return f1, f2
 
     rng = np.random.default_rng(seed)

@@ -283,6 +283,11 @@ class TestRiskyLp:
         assert result["params"]["nu0"] == pytest.approx([0.9, 0.1])
         assert result["v1"] == pytest.approx([1.5, 3.5], abs=1e-7)
 
+    def test_nan_weights_exit_2(self, fig1_path, tmp_path, capsys):
+        argv = ["risky-lp", fig1_path, "--nu0", "[null, 1]", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert "initial weights" in capsys.readouterr().err
+
 
 class TestAvar:
     def test_four_atom_example(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from diatomic_dp.control import svi
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.errors import PreconditionError
 from diatomic_dp.mdp import Mdp
+from diatomic_dp.robust import ConstrainedPermutation, permutation_kernel
 from diatomic_dp.risky_lp import (
     build_risky_dual,
     build_risky_primal,
@@ -65,6 +66,21 @@ class TestPrimal:
             build_risky_primal(mdp, 0.5, nu0=[0.9, 0.9])
         with pytest.raises(PreconditionError, match="shape"):
             build_risky_primal(mdp, 0.5, nu0=[1.0])
+        with pytest.raises(PreconditionError, match="initial weights"):
+            build_risky_primal(mdp, 0.5, nu0=[np.nan, 1.0])
+
+    def test_rows_match_the_permutation_kernels(self):
+        # row (x, a, sigma) is e_x - gamma (low[worst] - alpha/(1-alpha) low[best]),
+        # low being the worst-substate row of sigma's kernel
+        mdp = random_balanced_mdp(3, 2, gamma=0.4, seed=300)
+        alpha = 0.4
+        mat, _, labels = risky_constraint_rows(mdp, alpha)
+        assert mat.shape == (3 * 2 * 90, 3)
+        for row, (x, a, seq) in zip(mat, labels):
+            kernel = permutation_kernel(mdp, alpha, ConstrainedPermutation.from_sequence(seq))
+            low = kernel.probs[2 * x, a]
+            want = np.eye(3)[x] - mdp.gamma * (low[0::2] - alpha / (1.0 - alpha) * low[1::2])
+            np.testing.assert_array_equal(row, want)
 
 
 class TestDual:
@@ -111,6 +127,14 @@ class TestGapCheck:
         assert report.gap <= 1e-9
         np.testing.assert_allclose(report.v1, [1.5, 3.5], atol=1e-7)
         assert report.recursion_deviation <= 1e-7
+
+    def test_report_carries_the_solved_primal(self):
+        mdp = fig1_mdp()
+        report = duality_gap_check(mdp, 0.5, nu0=[0.9, 0.1])
+        problem = build_risky_primal(mdp, 0.5, nu0=[0.9, 0.1])
+        for field in ("c", "a", "b"):
+            np.testing.assert_array_equal(getattr(report.problem, field), getattr(problem, field))
+        assert report.labels == risky_constraint_rows(mdp, 0.5)[2]
 
     def test_single_action_world_is_trivially_tight(self):
         report = duality_gap_check(single_loop_mdp(reward=-1.0, gamma=0.3), 0.5)

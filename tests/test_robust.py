@@ -16,6 +16,8 @@ from diatomic_dp.mdp import Mdp, Policy, evaluate_policy
 from diatomic_dp.robust import (
     AugmentedKernel,
     ConstrainedPermutation,
+    _order_rows,
+    _visit_orders,
     augmented_policy_eval,
     bavar_vs_avar_gap,
     best_sub,
@@ -51,6 +53,41 @@ class TestPermutations:
         with pytest.raises(ResourceError, match="cap of 4"):
             next(gen)
 
+    def test_two_state_orders_are_pinned(self):
+        # lexicographic order: worst_best_case keeps the first attaining
+        # candidate, so this order decides which kernel it reports
+        want = [
+            (0, 1, 2, 3),
+            (0, 2, 1, 3),
+            (0, 2, 3, 1),
+            (2, 0, 1, 3),
+            (2, 0, 3, 1),
+            (2, 3, 0, 1),
+        ]
+        assert list(_visit_orders(2)) == want
+        assert [sig.sequence for sig in enumerate_constrained_permutations(2)] == want
+
+    def test_order_rows_match_a_greedy_fill(self):
+        # reference: walk each visit order, giving the worst row the first
+        # alpha of successor mass and the best row the rest
+        mdp = random_mdp(3, 2, gamma=0.4, seed=5)
+        alpha = 0.3
+        sequences, low, high = _order_rows(mdp, alpha)
+        assert low.shape == high.shape == (90, 3, 2, 6)
+        for i, seq in enumerate(sequences):
+            for x in range(3):
+                for a in range(2):
+                    left = alpha
+                    want_low, want_high = np.zeros(6), np.zeros(6)
+                    for s in seq:
+                        mass = mdp.transition[x, a, s // 2] * (alpha if s % 2 == 0 else 1 - alpha)
+                        take = min(mass, max(left, 0.0))
+                        left -= take
+                        want_low[s] = take / alpha
+                        want_high[s] = (mass - take) / (1 - alpha)
+                    np.testing.assert_allclose(low[i, x, a], want_low, atol=1e-12)
+                    np.testing.assert_allclose(high[i, x, a], want_high, atol=1e-12)
+
     def test_sequence_roundtrip(self):
         sig = ConstrainedPermutation.from_sequence((2, 0, 3, 1))
         assert sig.sequence == (2, 0, 3, 1)
@@ -75,6 +112,10 @@ class TestKernelValidation:
         probs[:, :, 0] = 0.9
         with pytest.raises(DomainError, match="sum"):
             AugmentedKernel(probs)
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            AugmentedKernel(np.full((4, 2, 4), np.nan))
 
     def test_arrays_are_frozen(self):
         k = risk_neutral_kernel(fig1_mdp(), 0.5)
@@ -170,6 +211,12 @@ class TestOptimalKernel:
 
 
 class TestAugmentedEval:
+    def test_rejects_a_kernel_of_another_shape(self):
+        mdp = fig1_mdp()
+        other = risk_neutral_kernel(random_mdp(3, 2, gamma=0.5, seed=1), 0.5)
+        with pytest.raises(DomainError, match="does not match"):
+            augmented_policy_eval(mdp, Policy.uniform(mdp), other)
+
     def test_risk_neutral_kernel_reproduces_the_plain_value(self):
         mdp = random_mdp(3, 2, gamma=0.4, seed=21)
         policy = Policy.uniform(mdp)

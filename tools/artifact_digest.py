@@ -3,7 +3,8 @@
 Runs ``diatomic_dp.cli.main`` in-process on each ``corpus.bundled_corpus``
 file (fig1 first) and on one four-atom distribution file, and prints one
 line per run: the argv, the exit code, and a sha256 of ``result.json``,
-``trace.csv``, stdout and stderr ("-" for a file the run did not write).
+``trace.csv``, the ``risky-lp --dump-lp`` file, stdout and stderr ("-"
+for a file the run did not write).
 Two source trees whose outputs are byte-identical print identical lines:
 
     PYTHONPATH=old/src python3 tools/artifact_digest.py /tmp/digest-old > old.txt
@@ -26,6 +27,7 @@ import pathlib
 import shutil
 
 from diatomic_dp import cli, corpus
+from diatomic_dp.mdp import load_mdp
 
 FOUR_ATOMS = [
     {"value": -5, "prob": 0.2},
@@ -33,6 +35,12 @@ FOUR_ATOMS = [
     {"value": 4, "prob": 0.2},
     {"value": 8, "prob": 0.2},
 ]
+DUMP = "primal.lp"  # the --dump-lp target, relative to the work directory
+
+
+def ramp_weights(n: int) -> str:
+    """Initial weights proportional to 1..n, as a --nu0 argument."""
+    return ",".join(repr((i + 1) / (n * (n + 1) / 2)) for i in range(n))
 
 
 def mdp_runs(path: str):
@@ -51,6 +59,9 @@ def mdp_runs(path: str):
         for alpha in ("0.3", "0.5"):
             yield ["robust-verify", path, "--policy", policy, "--alpha", alpha]
     yield ["risky-lp", path]
+    yield ["risky-lp", path, "--dump-lp", DUMP]
+    weights = ramp_weights(load_mdp(path).n_states)
+    yield ["risky-lp", path, "--nu0", weights, "--dump-lp", DUMP]
 
 
 def digest(data: bytes | None) -> str:
@@ -62,6 +73,7 @@ def read(path: pathlib.Path) -> bytes | None:
 
 
 def run_one(argv: list[str], out: str) -> str:
+    pathlib.Path(DUMP).unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -71,6 +83,7 @@ def run_one(argv: list[str], out: str) -> str:
         except Exception as exc:  # a traceback is an outcome to compare too
             code = f"raised:{type(exc).__name__}"
     files = [read(pathlib.Path(out) / name) for name in ("result.json", "trace.csv")]
+    files.append(read(pathlib.Path(DUMP)))
     streams = [s.getvalue().encode() for s in (stdout, stderr)]
     return " ".join([" ".join(argv), f"exit={code}", *(digest(d) for d in files + streams)])
 
