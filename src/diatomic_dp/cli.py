@@ -1,8 +1,9 @@
 """Command-line front end: load an instance, run a solver, leave artifacts.
 
-Iterative commands write ``trace.csv`` (one row per sweep performed) and
-``result.json`` into the output directory; one-shot commands write
-``result.json`` only. Output is deterministic: identical configuration
+Iterative commands write ``trace.csv`` (one row per iteration performed:
+a sweep for ``eval``, ``safe`` and ``risky``, a round of order iteration
+for ``spe``) and ``result.json`` into the output directory; one-shot
+commands write ``result.json`` only. Output is deterministic: identical configuration
 produces byte-identical files, so diffing artifacts across runs is a
 meaningful check.
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .control import ControlSweeps
 from .dbo import DistFunction, dbo_iterate
-from .diatomic import pair_sweeps, spe
+from .diatomic import pair_rounds, spe
 from .dist import DiscreteDist, avar_left, avar_right, expectation
 from .errors import (
     ConvergenceError,
@@ -138,7 +139,7 @@ def _entry_headers(mdp: Mdp, prefix: str):
 
 
 def _run_traced(args, sweeps, header, row) -> SweepRun:
-    """Run ``sweeps`` to --tol or --max-iter, writing one trace row per sweep."""
+    """Run ``sweeps`` to --tol or --max-iter, writing one trace row per iteration."""
     rows = []
     run = run_sweeps(
         sweeps,
@@ -176,7 +177,7 @@ def _cmd_spe(args) -> int:
     policy = _parse_policy(mdp, args.policy)
     run = _run_traced(
         args,
-        pair_sweeps(mdp, policy, args.alpha),
+        pair_rounds(mdp, policy, args.alpha),
         [*_entry_headers(mdp, "q1"), *_entry_headers(mdp, "q2")],
         lambda dq: [*dq.q1.ravel(), *dq.q2.ravel()],
     )
@@ -269,8 +270,8 @@ def _cmd_control(args, mode: str) -> int:
 def _cmd_robust_verify(args) -> int:
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
-    res = worst_best_case(mdp, policy, args.alpha)
     sol = spe(mdp, policy, args.alpha, tol=min(args.tol, DEFAULT_TOL))
+    res = worst_best_case(mdp, policy, args.alpha, double_q=sol.double_q)
     v1, v2 = (state_values(table, policy) for table in (sol.double_q.q1, sol.double_q.q2))
     deviation = float(
         max(np.abs(res.v_worst - v1).max(), np.abs(res.v_best - v2).max())
@@ -408,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     add("eval", "classic expected-value policy evaluation", policy=True)
-    add("spe", "two-tail policy evaluation sweep", alpha=True, policy=True)
+    add("spe", "two-tail policy evaluation in rounds", alpha=True, policy=True)
     add("dbo", "unrolled return-distribution steps", alpha=True, policy=True, k=True)
     add("safe", "safe sorted value iteration", alpha=True)
     add("risky", "risky sorted value iteration", alpha=True)

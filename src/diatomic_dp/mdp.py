@@ -110,6 +110,19 @@ class Mdp:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def _balance(self) -> tuple[np.ndarray, float, tuple[int, int, int]]:
+        """Q* (read-only) with ``balance_gap``'s (gap, witness), solved once per MDP."""
+        q_star = value_iteration(self, tol=REFERENCE_TOL).q
+        q_star.setflags(write=False)
+        worst = (0.0, (0, self.action_sets[0][0], self.action_sets[0][0]))
+        for x, group in enumerate(self.action_sets):
+            vals = q_star[x, list(group)]
+            spread = float(vals.max() - vals.min())
+            if spread > worst[0]:
+                worst = (spread, (x, group[int(vals.argmax())], group[int(vals.argmin())]))
+        return q_star, *worst
+
     @property
     def expected_reward(self) -> np.ndarray:
         """r_bar(x, a) = sum_x' P(x'|x,a) r(x,a,x')."""
@@ -212,11 +225,11 @@ class SweepRun:
     iterations: int
     converged: bool
 
-    def require_converged(self, what: str) -> "SweepRun":
+    def require_converged(self, what: str, unit: str = "sweeps") -> "SweepRun":
         """This run, or ConvergenceError naming ``what`` if it stopped above tolerance."""
         if not self.converged:
             raise ConvergenceError(
-                f"{what} not converged after {self.iterations} sweeps "
+                f"{what} not converged after {self.iterations} {unit} "
                 f"(residual {self.residual})",
                 residual=self.residual,
                 iterations=self.iterations,
@@ -232,9 +245,10 @@ def run_sweeps(
 ) -> SweepRun:
     """The one fixed-point loop: walk ``sweeps`` until a residual is at most ``tol``.
 
-    Stops after ``max_iter`` sweeps without raising; the returned run says
-    whether it converged. ``on_sweep(iteration, value, residual)`` sees
-    every sweep performed.
+    ``sweeps`` yields one (value, residual) per iteration: a sweep, or a
+    round for ``diatomic.pair_rounds``. Stops after ``max_iter`` of them
+    without raising; the returned run says whether it converged.
+    ``on_sweep(iteration, value, residual)`` sees every iteration performed.
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be positive, got {max_iter}")
@@ -308,20 +322,7 @@ def reduce_to_balanced(mdp: Mdp) -> Mdp:
     the per-state list of surviving original action indices (that list is
     the index remapping: nothing is renumbered).
     """
-    sol = value_iteration(mdp, tol=REFERENCE_TOL)
-    return replace(mdp, action_sets=optimal_action_sets(mdp, sol.q))
-
-
-def _balance(mdp: Mdp) -> tuple[np.ndarray, float, tuple[int, int, int]]:
-    """Q* together with ``balance_gap``'s (gap, witness), from one solve."""
-    q_star = value_iteration(mdp, tol=REFERENCE_TOL).q
-    worst = (0.0, (0, mdp.action_sets[0][0], mdp.action_sets[0][0]))
-    for x, group in enumerate(mdp.action_sets):
-        vals = q_star[x, list(group)]
-        spread = float(vals.max() - vals.min())
-        if spread > worst[0]:
-            worst = (spread, (x, group[int(vals.argmax())], group[int(vals.argmin())]))
-    return q_star, *worst
+    return replace(mdp, action_sets=optimal_action_sets(mdp, mdp._balance[0]))
 
 
 def balance_gap(mdp: Mdp) -> tuple[float, tuple[int, int, int]]:
@@ -329,17 +330,17 @@ def balance_gap(mdp: Mdp) -> tuple[float, tuple[int, int, int]]:
 
     Returns (gap, (x, best_action, worst_action)).
     """
-    return _balance(mdp)[1:]
+    return mdp._balance[1:]
 
 
 def is_balanced(mdp: Mdp, tol: float = BALANCE_TOL) -> bool:
     """True when every admissible action is optimal in its state."""
-    return _balance(mdp)[1] <= tol
+    return mdp._balance[1] <= tol
 
 
 def _require_balanced(mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
     """(Q*, V*) of a balanced MDP, or PreconditionError naming the offending state."""
-    q_star, gap, (x, best, worst) = _balance(mdp)
+    q_star, gap, (x, best, worst) = mdp._balance
     if gap > BALANCE_TOL:
         raise PreconditionError(
             f"not balanced: state {x} has Q* spread {gap:.3e} between "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, alpha_coherence, spe
+from .diatomic import CHECK_SPE_TOL, CHECK_TOL, DoubleQ, _check_alpha, alpha_coherence, spe
 from .errors import DomainError, PreconditionError, PropertyFailure, ResourceError
 from .mdp import REFERENCE_TOL, Mdp, Policy, check_policy, state_values
 
@@ -329,6 +329,7 @@ def worst_best_case(
     policy: Policy,
     alpha: float,
     candidate_cap: int = CANDIDATE_CAP,
+    double_q: DoubleQ | None = None,
 ) -> WorstBestResult:
     """Brute-force the value extremes over permutation-built kernels.
 
@@ -337,7 +338,8 @@ def worst_best_case(
     evaluated by a direct linear solve on the doubled chain. The search
     space is restricted to permutation rows because the extremes are known
     to be attained there; disagreement with the two-sided recursion in
-    tests would indicate a bug, not a gap in that restriction.
+    tests would indicate a bug, not a gap in that restriction. Pass the
+    policy's fixed point as double_q to skip the coherence check's solve.
     """
     _check_alpha(alpha)
     check_policy(mdp, policy)
@@ -345,7 +347,7 @@ def worst_best_case(
         raise ResourceError(
             f"{mdp.n_states} states exceed the enumeration cap of {PERMUTATION_STATE_CAP}"
         )
-    _require_coherent(mdp, policy, alpha)
+    _require_coherent(mdp, policy, alpha, double_q)
 
     s = mdp.n_states
     pairs = _support_pairs(mdp, policy)

@@ -10,16 +10,20 @@ import json
 import numpy as np
 import pytest
 
+from diatomic_dp import diatomic
+from diatomic_dp import mdp as mdp_module
 from diatomic_dp.cli import main
 from diatomic_dp.control import svi
 from diatomic_dp.corpus import bundled_corpus, fig1_mdp, random_mdp, stock_corpus
-from diatomic_dp.diatomic import spe
+from diatomic_dp.diatomic import pair_rounds, spe
 from diatomic_dp.mdp import (
+    Mdp,
     Policy,
     evaluate_policy,
     is_balanced,
     load_mdp,
     mdp_to_dict,
+    run_sweeps,
     save_mdp,
     state_values,
     value_iteration,
@@ -30,6 +34,14 @@ from diatomic_dp.mdp import (
 def fig1_path(tmp_path):
     path = tmp_path / "fig1.json"
     save_mdp(fig1_mdp(), path)
+    return str(path)
+
+
+@pytest.fixture()
+def slow_path(tmp_path):
+    """An instance whose spe solve takes six rounds (gamma 0.99, uniform policy, alpha 0.1)."""
+    path = tmp_path / "slow.json"
+    save_mdp(random_mdp(3, 2, gamma=0.99, seed=2), path)
     return str(path)
 
 
@@ -52,55 +64,44 @@ def read_trace(out_dir):
 
 
 class TestSpe:
-    def test_twenty_sweeps_leave_twenty_rows(self, fig1_path, tmp_path):
+    def test_max_iter_rounds_leave_as_many_rows(self, slow_path, tmp_path):
+        mdp = load_mdp(slow_path)
+        fixed = spe(mdp, Policy.uniform(mdp), 0.1, tol=1e-12)
+        assert fixed.iterations > 3  # the cap below stops the run early
         out = tmp_path / "run"
-        code = main(
-            [
-                "spe",
-                fig1_path,
-                "--alpha",
-                "0.5",
-                "--policy",
-                "always:a2",
-                "--max-iter",
-                "20",
-                "--out",
-                str(out),
-            ]
-        )
+        code = main(["spe", slow_path, "--alpha", "0.1", "--max-iter", "3", "--out", str(out)])
         assert code == 0
         header, rows = read_trace(out)
         assert header[:2] == ["iteration", "residual"]
-        assert len(rows) == 20
-        assert [r[0] for r in rows] == [str(i) for i in range(1, 21)]
+        assert len(rows) == 3
+        assert [r[0] for r in rows] == ["1", "2", "3"]
         result = read_result(out)
         assert result["converged"] is False
-        assert result["iterations"] == 20
-        # gamma = 1/2 halves the residual each sweep, so twenty sweeps land
-        # within 1e-5 of the fixed point
-        assert np.allclose(result["q1"], [[1.75, 1.5], [3.75, 3.5]], atol=1e-5)
-        assert np.allclose(result["q2"], [[2.25, 2.5], [4.25, 4.5]], atol=1e-5)
+        assert result["iterations"] == 3
+        capped = run_sweeps(pair_rounds(mdp, Policy.uniform(mdp), 0.1), 1e-10, 3)
+        assert result["residual"] == capped.residual
+        assert result["q1"] == capped.value.q1.tolist()
+        assert result["q2"] == capped.value.q2.tolist()
+        # a round's output lies within gamma * residual / (1 - gamma) of the fixed point
+        bound = mdp.gamma * result["residual"] / (1.0 - mdp.gamma) + 1e-9
+        assert np.abs(np.array(result["q1"]) - fixed.double_q.q1).max() <= bound
+        assert np.abs(np.array(result["q2"]) - fixed.double_q.q2).max() <= bound
 
-    def test_uniform_policy_trace_approaches_fixed_point(self, fig1_path, tmp_path):
+    def test_uniform_policy_trace_approaches_fixed_point(self, slow_path, tmp_path):
         out = tmp_path / "run"
-        argv = [
-            "spe",
-            fig1_path,
-            "--alpha",
-            "0.5",
-            "--max-iter",
-            "20",
-            "--out",
-            str(out),
-        ]
+        argv = ["spe", slow_path, "--alpha", "0.1", "--max-iter", "3", "--out", str(out)]
         assert main(argv) == 0
         header, rows = read_trace(out)
-        assert len(rows) == 20
-        mdp = fig1_mdp()
-        dq = spe(mdp, Policy.uniform(mdp), 0.5, tol=1e-12).double_q
+        assert len(rows) == 3
+        mdp = load_mdp(slow_path)
+        dq = spe(mdp, Policy.uniform(mdp), 0.1, tol=1e-12).double_q
         want = np.concatenate([dq.q1.ravel(), dq.q2.ravel()])
+        residuals = [float(r[1]) for r in rows]
+        for early, late in zip(residuals, residuals[1:]):
+            assert late <= mdp.gamma * early
         got = np.array([float(v) for v in rows[-1][2:]])
-        assert np.abs(got - want).max() < 1e-4
+        bound = mdp.gamma * residuals[-1] / (1.0 - mdp.gamma) + 1e-9
+        assert np.abs(got - want).max() <= bound
 
     def test_tight_tolerance_converges(self, fig1_path, tmp_path):
         out = tmp_path / "run"
@@ -235,6 +236,26 @@ class TestRobustVerify:
         assert kernel.shape == (4, 2, 4)
         assert np.allclose(kernel.sum(axis=2), 1.0)
 
+    @pytest.mark.parametrize("policy", ["uniform", "always:a2"])
+    def test_solves_the_pair_once(self, policy, tmp_path, monkeypatch):
+        # both actions play fig1's a2, so the uniform policy is coherent too
+        fig1 = fig1_mdp()
+        twin = Mdp(
+            transition=np.repeat(fig1.transition[:, 1:], 2, axis=1),
+            reward=np.repeat(fig1.reward[:, 1:], 2, axis=1),
+            gamma=fig1.gamma,
+        )
+        path = tmp_path / "twin.json"
+        save_mdp(twin, path)
+        solves = []
+        rounds = diatomic.pair_rounds
+        monkeypatch.setattr(
+            diatomic, "pair_rounds", lambda *args: solves.append(args) or rounds(*args)
+        )
+        argv = ["robust-verify", str(path), "--policy", policy, "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert len(solves) == 1
+
     def test_incoherent_policy_exits_2(self, unbalanced_path, tmp_path):
         code = main(
             ["robust-verify", unbalanced_path, "--out", str(tmp_path / "r")]
@@ -282,6 +303,20 @@ class TestRiskyLp:
         result = read_result(out)
         assert result["params"]["nu0"] == pytest.approx([0.9, 0.1])
         assert result["v1"] == pytest.approx([1.5, 3.5], abs=1e-7)
+
+    def test_solves_the_balanced_optimum_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "balanced.json"
+        save_mdp(dict(stock_corpus())["balanced_s3_seed300"], path)
+        solves = []
+        solve = mdp_module.value_iteration
+        monkeypatch.setattr(
+            mdp_module,
+            "value_iteration",
+            lambda *args, **kw: solves.append(args) or solve(*args, **kw),
+        )
+        argv = ["risky-lp", str(path), "--alpha", "0.4", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert len(solves) == 1
 
     def test_nan_weights_exit_2(self, fig1_path, tmp_path, capsys):
         argv = ["risky-lp", fig1_path, "--nu0", "[null, 1]", "--out", str(tmp_path / "r")]
