@@ -1,8 +1,8 @@
 """Command-line front end: load an instance, run a solver, leave artifacts.
 
 Iterative commands write ``trace.csv`` (one row per iteration performed:
-a sweep for ``eval``, ``safe`` and ``risky``, a round of order iteration
-for ``spe``) and ``result.json`` into the output directory; one-shot
+a sweep for ``eval``, a round of order iteration for ``spe``, ``safe``
+and ``risky``) and ``result.json`` into the output directory; one-shot
 commands write ``result.json`` only. Output is deterministic: identical configuration
 produces byte-identical files, so diffing artifacts across runs is a
 meaningful check.
@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .control import ControlSweeps
+from .control import ControlRounds
 from .dbo import DistFunction, dbo_iterate
 from .diatomic import pair_rounds, spe
 from .dist import DiscreteDist, avar_left, avar_right, expectation
@@ -232,14 +232,14 @@ def _cmd_dbo(args) -> int:
 
 def _cmd_control(args, mode: str) -> int:
     mdp = _load_mdp(args)
-    sweeps = ControlSweeps(mdp, args.alpha, mode)
+    rounds = ControlRounds(mdp, args.alpha, mode)
     run = _run_traced(
         args,
-        sweeps,
+        rounds,
         [*[f"v1_{s}" for s in mdp.states], *[f"v2_{s}" for s in mdp.states]],
         lambda step: [*step.v1, *step.v2],
     )
-    res = sweeps.result(run)
+    res = rounds.result(run)
     _write_result(
         args,
         {

@@ -3,20 +3,25 @@
 When every admissible action is optimal in expectation, maximizing the
 expected return no longer distinguishes policies; the remaining freedom is
 which tail to favor. Safe control maximizes the left tail mean of the
-return, risky control maximizes the right one. Both reduce to a value
-iteration on state vectors because the two tails are tied together by
-alpha * v1 + (1 - alpha) * v2 = v_star at every admissible entry.
+return, risky control maximizes the right one. Both apply the projected
+two-tail operator of policy evaluation with one greedy action per state,
+on state vectors (v1, v2): the admissible action with the highest (safe)
+or lowest (risky) left tail mean. On a balanced MDP the tails are tied by
+alpha * v1 + (1 - alpha) * v2 = v_star, so the lowest left tail is the
+highest right one. ``svi`` runs ``diatomic``'s rounds of order iteration
+on the same particle table, freezing each state's picked action along
+with the particle orders (Hoffman and Karp 1966).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, spe
-from .dist import left_tail_weights
+from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, _Particles, _rounds, spe
 from .errors import DomainError
 from .mdp import (
     DEFAULT_MAX_ITER,
@@ -26,72 +31,42 @@ from .mdp import (
     Policy,
     SweepRun,
     _require_balanced,
-    operator_sweeps,
     optimal_action_sets,
     run_sweeps,
 )
 
 
-def _select(q: np.ndarray, mask: np.ndarray, risky: bool) -> np.ndarray:
-    """Per state, the lowest (risky) or highest (safe) admissible entry of ``q``."""
-    if risky:
-        return np.where(mask, q, np.inf).min(axis=1)
-    return np.where(mask, q, -np.inf).max(axis=1)
-
-
-def _tail_q_table(mdp: Mdp, v1: np.ndarray, v2: np.ndarray, alpha: float) -> np.ndarray:
-    """Left tail mean at ``alpha`` of each entry's 2S-particle target cloud.
-
-    Successor y contributes mass alpha * P(y|x,a) at r(x,a,y) + gamma*v1(y)
-    and mass (1-alpha) * P(y|x,a) at the v2 analogue.
-    """
-    vals = np.concatenate(
-        [
-            mdp.reward + mdp.gamma * v1[None, None, :],
-            mdp.reward + mdp.gamma * v2[None, None, :],
-        ],
-        axis=2,
-    )
-    wts = np.concatenate([alpha * mdp.transition, (1.0 - alpha) * mdp.transition], axis=2)
-    order = np.argsort(vals, axis=2, kind="stable")
-    v = np.take_along_axis(vals, order, axis=2)
-    w = np.take_along_axis(wts, order, axis=2)
-    return (left_tail_weights(w, alpha) * v).sum(axis=2) / alpha
-
-
 @dataclass(frozen=True)
 class ControlStep:
-    """One sweep's output: the left table and the reduced state vectors."""
+    """One sweep's output: both tail tables and the reduced state vectors."""
 
     q1: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
+    q2: np.ndarray
 
 
-def _control_step(mdp: Mdp, v1, v2, alpha: float, risky: bool, v_star=None) -> ControlStep:
-    _check_alpha(alpha)
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if v_star is None:
-        _, v_star = _require_balanced(mdp)
-    v_star = np.asarray(v_star, dtype=np.float64)
-    q1 = _tail_q_table(mdp, v1, v2, alpha)
-    v1_next = _select(q1, mdp.action_mask, risky)
-    return ControlStep(q1, v1_next, (v_star - alpha * v1_next) / (1.0 - alpha))
+def _control_step(mdp: Mdp, v1, v2, alpha: float, mode: str, v_star=None) -> ControlStep:
+    rounds = ControlRounds(mdp, alpha, mode)
+    out = rounds.table().sweep(np.concatenate([v1, v2]).astype(np.float64))
+    step = rounds.step(out, rounds.pick(out))
+    v_star = rounds.v_star if v_star is None else np.asarray(v_star, dtype=np.float64)
+    return dataclasses.replace(step, v2=(v_star - alpha * step.v1) / (1.0 - alpha))
 
 
 def safe_bellman_apply(mdp: Mdp, v1, v2, alpha: float, v_star=None) -> ControlStep:
     """One safe sweep: best-case selection of the worst-tail table.
 
-    The MDP must be balanced; pass v_star to skip the internal optimal
-    solve when calling in a loop.
+    v2 comes back as (v_star - alpha * v1) / (1 - alpha), the right tail
+    at the picked action whenever the input's tails average to v_star. The
+    MDP must be balanced; v_star defaults to its optimal state values.
     """
-    return _control_step(mdp, v1, v2, alpha, False, v_star)
+    return _control_step(mdp, v1, v2, alpha, "safe", v_star)
 
 
 def risky_bellman_apply(mdp: Mdp, v1, v2, alpha: float, v_star=None) -> ControlStep:
     """One risky sweep: the right tail is maximized by minimizing the left."""
-    return _control_step(mdp, v1, v2, alpha, True, v_star)
+    return _control_step(mdp, v1, v2, alpha, "risky", v_star)
 
 
 @dataclass(frozen=True)
@@ -108,55 +83,59 @@ class ControlResult:
     iterations: int
 
 
-class ControlSweeps:
-    """Safe or risky sweeps from the zero vector on a balanced MDP.
+class ControlRounds:
+    """Safe or risky rounds on a balanced MDP, from (v1, v2) = (0, v_star / (1 - alpha)).
 
-    Iterating yields ``(ControlStep, residual)`` per sweep, the residual
-    being the sup-norm change of v1; ``run_sweeps`` decides when to stop,
-    and ``result`` extracts the control solution from the last sweep.
+    The particle table's unknowns are the states: entry (x, a) moves mass
+    P(y|x,a) onto state y, and the entry behind state x is its admissible
+    action with the highest (safe) or lowest (risky) left tail mean.
+    Iterating yields ``(ControlStep, residual)`` per round of
+    ``diatomic._rounds``, the residual being the sup-norm change of
+    (v1, v2) in the round's certificate sweep; ``run_sweeps`` decides when
+    to stop, and ``result`` extracts the control solution from the last round.
     """
 
     def __init__(self, mdp: Mdp, alpha: float, mode: str = "safe"):
         _check_alpha(alpha)
         if mode not in ("safe", "risky"):
             raise DomainError(f"mode must be 'safe' or 'risky', got {mode!r}")
-        self.mdp = mdp
-        self.alpha = alpha
-        self.mode = mode
-        self.risky = mode == "risky"
-        self.q_star, self.v_star = _require_balanced(mdp)
+        self.mdp, self.alpha, self.mode, self.risky = mdp, alpha, mode, mode == "risky"
+        _, self.v_star = _require_balanced(mdp)
+
+    def table(self) -> _Particles:
+        s = self.mdp.n_states
+        return _Particles(self.mdp, self.mdp.transition.reshape(-1, s), np.arange(s), self.alpha)
+
+    def pick(self, out: np.ndarray) -> np.ndarray:
+        q1 = out[: out.size // 2].reshape(self.mdp.action_mask.shape)
+        # the risky pick is the lowest q1, i.e. the highest -q1
+        q1 = np.where(self.mdp.action_mask, -q1 if self.risky else q1, -np.inf)
+        return np.arange(q1.shape[0]) * q1.shape[1] + q1.argmax(axis=1)
+
+    def step(self, out: np.ndarray, picked: np.ndarray) -> ControlStep:
+        q1, q2 = out.reshape(2, *self.mdp.action_mask.shape)
+        return ControlStep(q1, q1.ravel()[picked], q2.ravel()[picked], q2)
 
     def __iter__(self):
-        v1 = np.zeros(self.mdp.n_states)
-        # no sweep has produced a left table yet
-        start = ControlStep(None, v1, (self.v_star - self.alpha * v1) / (1.0 - self.alpha))
-        return operator_sweeps(
-            lambda prev: _control_step(
-                self.mdp, prev.v1, prev.v2, self.alpha, self.risky, self.v_star
-            ),
-            start,
-            lambda new, old: float(np.abs(new.v1 - old.v1).max()),
-        )
+        start = np.concatenate([np.zeros(self.mdp.n_states), self.v_star / (1.0 - self.alpha)])
+        return _rounds(self.table(), start, self.pick, self.step)
 
     def result(self, run: SweepRun) -> ControlResult:
-        """The control solution at the last sweep of ``run``.
+        """The control solution at the last round of ``run``.
 
-        q2 reports the complementary tail (v_star - alpha * q1) / (1 - alpha),
-        which is the right tail mean exactly on admissible entries. A state's
-        action set holds the admissible actions whose q1 is within
+        q1 and q2 are the certificate sweep's left and right tail tables. A
+        state's action set holds the admissible actions whose q1 is within
         ``TIE_TOL`` of the selected one.
         """
         step = run.value
-        q1 = step.q1
         return ControlResult(
             mode=self.mode,
             alpha=self.alpha,
             v1=step.v1,
             v2=step.v2,
-            q1=q1,
-            q2=(self.q_star - self.alpha * q1) / (1.0 - self.alpha),
-            # the risky pick is the lowest q1, i.e. the highest -q1
-            action_sets=optimal_action_sets(self.mdp, -q1 if self.risky else q1),
+            q1=step.q1,
+            q2=step.q2,
+            action_sets=optimal_action_sets(self.mdp, -step.q1 if self.risky else step.q1),
             v_star=self.v_star,
             residual=run.residual,
             iterations=run.iterations,
@@ -170,16 +149,20 @@ def svi(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ControlResult:
-    """Tail-sensitive value iteration from the zero vector.
+    """Safe or risky control by rounds of order iteration; max_iter counts rounds.
 
-    Convergence is geometric whenever gamma * max(1, alpha / (1 - alpha))
-    is below one; for alpha past that point the sweep can expand and the
-    iteration is only attempted, with ConvergenceError on exhaustion.
-    See ``ControlSweeps.result`` for q2 and the action sets.
+    Each round freezes every entry's particle order and each state's picked
+    action, solves the pair that fixes, and certifies it with one sweep
+    whose change of (v1, v2) is the residual. A round whose change is above
+    gamma times the last one takes a plain sweep instead. That sweep
+    contracts by a factor of at most gamma * max(1, alpha / (1 - alpha)),
+    so past alpha = 1/2 convergence rests on the rounds, with
+    ConvergenceError on exhaustion.
+    See ``ControlRounds.result`` for q2 and the action sets.
     """
-    sweeps = ControlSweeps(mdp, alpha, mode)
-    run = run_sweeps(sweeps, tol, max_iter).require_converged(f"{mode} control")
-    return sweeps.result(run)
+    rounds = ControlRounds(mdp, alpha, mode)
+    run = run_sweeps(rounds, tol, max_iter).require_converged(f"{mode} control", "rounds")
+    return rounds.result(run)
 
 
 @dataclass(frozen=True)

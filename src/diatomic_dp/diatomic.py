@@ -10,7 +10,7 @@ atom lists are ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -83,42 +83,37 @@ def _check_size(mdp: Mdp) -> None:
 
 
 class _Particles:
-    """Every entry's particle cloud, in a padded (S*A, K) layout built once per solve.
+    """Every entry's particle cloud over k unknowns, in a padded (S*A, K) layout.
 
-    Only entries the policy plays, pi(b|y) > 0, are particle sources, so a
-    pair is carried as the stacked vector q = (q1, q2) over those entries
-    (``played`` indexes them in the stacked (q1, q2) of all 2SA entries).
-    Entry e = (x, a) lists its successors (y, b) with P(y|x,a) * pi(b|y) > 0
-    first and pads to the widest entry with zero-mass played successors,
-    so no two particles of one entry share a source. Each successor gives
-    two particles: mass alpha * P * pi at r(x,a,y) + gamma * q1(y,b) and the
-    complementary mass at the q2 value. Every sweep leaves each entry's
-    particles in the order it sorted them, so the next sort starts nearly
-    sorted and ``solve`` reads the order from the table.
+    ``link[e, j]`` is the mass entry e = (x, a) moves onto unknown j, and
+    ``states[j]`` names that unknown's state, so the step reward is
+    r(x, a, states[j]). A pair is carried as the stacked vector q = (q1, q2)
+    over the unknowns: ``spe``'s unknowns are the entries its policy plays
+    (link P * pi), ``svi``'s are the states (link P). Each entry lists its
+    successors with positive mass first and pads to the widest entry with
+    zero-mass ones, so no two particles of one entry share an unknown.
+    Each successor gives two particles: mass alpha * link at
+    r + gamma * q1 and the complementary mass at the q2 value. Every sweep
+    leaves each entry's particles in the order it sorted them, so the next
+    sort starts nearly sorted and ``solve`` reads the order from the table.
     """
 
-    def __init__(self, mdp: Mdp, policy: Policy, alpha: float):
+    def __init__(self, mdp: Mdp, link: np.ndarray, states: np.ndarray, alpha: float):
         s, a_n = mdp.n_states, mdp.n_actions
-        m = s * a_n
-        sources = np.flatnonzero(policy.probs.ravel() > 0.0)
-        k = sources.size
-        link = (mdp.transition[:, :, :, None] * policy.probs[None, None, :, :]).reshape(m, m)
-        link = link[:, sources]
+        m, k = link.shape
         width = int(np.count_nonzero(link, axis=1).max())
         succ = np.argsort(link == 0.0, axis=1, kind="stable")[:, :width]
         mass = np.take_along_axis(link, succ, axis=1)
-        reward = np.take_along_axis(mdp.reward.reshape(m, s), sources[succ] // a_n, axis=1)
+        reward = np.take_along_axis(mdp.reward.reshape(m, s), states[succ], axis=1)
         self.shape, self.gamma, self.alpha = (s, a_n), mdp.gamma, alpha
         self.rows = np.arange(m)[:, None]
-        self.sources = sources
-        self.played = np.concatenate([sources, sources + m])
         self.src = np.concatenate([succ, succ + k], axis=1).astype(np.int32)
         self.reward = np.concatenate([reward, reward], axis=1)
         self.mass = np.concatenate([alpha * mass, (1.0 - alpha) * mass], axis=1)
         self.tails = ((left_tail_weights, alpha), (right_tail_weights, 1.0 - alpha))
 
     def sweep(self, q: np.ndarray) -> np.ndarray:
-        """The operator at the played pair q, as the stacked pair over all 2SA entries."""
+        """The operator at the unknowns' pair q, as the stacked pair over all 2SA entries."""
         vals = self.reward + self.gamma * q[self.src]
         at = (self.rows, np.argsort(vals, axis=1, kind="stable"))
         vals = vals[at]
@@ -130,21 +125,22 @@ class _Particles:
             [(tail(self.mass, level) * vals).sum(axis=1) / level for tail, level in self.tails]
         )
 
-    def solve(self) -> np.ndarray:
+    def solve(self, sources: np.ndarray) -> np.ndarray:
         """The fixed point of the affine map that the last sweep's order fixes.
 
-        With every entry's order frozen, the operator on the played pair is
+        ``sources[j]`` is the entry whose cloud gives unknown j. With every
+        entry's order frozen, the map on the unknowns' pair is
         q -> c + gamma M q with M row-stochastic; this solves (I - gamma M) q = c.
         The rows are filled in chunks of about _CHUNK particles, so the
         temporaries stay small beside the matrix.
         """
-        k = self.sources.size
+        k = sources.size
         n = 2 * k
         a = np.zeros((n, n))
         c = np.empty(n)
         step = max(1, _CHUNK // self.src.shape[1])
         for lo in range(0, k, step):
-            rows = self.sources[lo : lo + step]
+            rows = sources[lo : lo + step]
             i = np.arange(lo, lo + rows.size)
             mass, reward = self.mass[rows], self.reward[rows]
             cells = self.src[rows] + (i * n)[:, None]
@@ -155,9 +151,21 @@ class _Particles:
         a.reshape(-1)[:: n + 1] += 1.0
         return np.linalg.solve(a, c)
 
+    def at(self, sources: np.ndarray) -> np.ndarray:
+        """Where the pair of the entries ``sources`` sits in a stacked pair over all 2SA entries."""
+        return np.concatenate([sources, sources + self.rows.size])
+
     def pair(self, out: np.ndarray) -> DoubleQ:
         m = out.size // 2
         return DoubleQ(out[:m].reshape(self.shape), out[m:].reshape(self.shape), self.alpha)
+
+
+def _played(mdp: Mdp, policy: Policy, alpha: float) -> tuple[_Particles, np.ndarray]:
+    """``spe``'s table, whose unknowns are the entries the policy plays, with those entries."""
+    m = mdp.n_states * mdp.n_actions
+    sources = np.flatnonzero(policy.probs.ravel() > 0.0)
+    link = (mdp.transition[:, :, :, None] * policy.probs[None, None, :, :]).reshape(m, m)
+    return _Particles(mdp, link[:, sources], sources // mdp.n_actions, alpha), sources
 
 
 def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
@@ -170,8 +178,9 @@ def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
     """
     check_policy(mdp, policy)
     _check_size(mdp)
-    cloud = _Particles(mdp, policy, dq.alpha)
-    return cloud.pair(cloud.sweep(np.concatenate([dq.q1.ravel(), dq.q2.ravel()])[cloud.played]))
+    cloud, sources = _played(mdp, policy, dq.alpha)
+    stacked = np.concatenate([dq.q1.ravel(), dq.q2.ravel()])
+    return cloud.pair(cloud.sweep(stacked[cloud.at(sources)]))
 
 
 @dataclass(frozen=True)
@@ -184,35 +193,47 @@ class SpeSolve:
     history: tuple[float, ...] | None = None
 
 
-def _rounds(cloud: _Particles) -> Iterator[tuple[DoubleQ, float]]:
+def _rounds(cloud: _Particles, start, pick, value) -> Iterator[tuple[Any, float]]:
+    """Rounds of order iteration on ``cloud``, from the unknowns' pair ``start``.
+
+    A round freezes every entry's particle order and the entry behind each
+    unknown (``pick(out)`` names those at a sweep's output ``out``), solves
+    the affine map they fix, and sweeps once there as the certificate: it
+    yields ``value(out, picked)`` and the sup-norm change of the unknowns'
+    pair. If that is above gamma times the previous round's change, the
+    round takes a plain sweep from the previous round's pair instead.
+    """
+
     def certify(point):
         out = cloud.sweep(point)
-        return out, float(np.abs(out[cloud.played] - point).max())
+        picked = pick(out)
+        new = out[cloud.at(picked)]
+        return out, picked, new, float(np.abs(new - point).max())
 
-    out, residual = certify(np.zeros(cloud.played.size))
+    out, picked, new, residual = certify(start)
     while True:
-        last = out
-        out, new_residual = certify(cloud.solve())
+        last = new
+        out, picked, new, new_residual = certify(cloud.solve(picked))
         if not new_residual <= cloud.gamma * residual:  # also catches a NaN candidate
-            out, new_residual = certify(last[cloud.played])
+            out, picked, new, new_residual = certify(last)
         residual = new_residual
-        yield cloud.pair(out), residual
+        yield value(out, picked), residual
 
 
 def pair_rounds(mdp: Mdp, policy: Policy, alpha: float) -> Iterator[tuple[DoubleQ, float]]:
     """Rounds of order iteration on the projected operator, from the zero pair.
 
-    A round freezes every entry's particle order at the current pair,
-    solves the affine map that order fixes for its fixed point, and sweeps
-    the operator once there as the certificate: it yields that sweep's
-    output and change. If the change is above gamma times the previous
-    round's, the round takes a plain sweep from the previous output
-    instead, so residuals contract by at least gamma per round.
+    The unknowns are the entries the policy plays, each its own source; a
+    round yields its certificate sweep's pair and change, and residuals
+    contract by at least gamma per round (see ``_rounds``).
     """
     check_policy(mdp, policy)
     _check_alpha(alpha)
     _check_size(mdp)
-    return _rounds(_Particles(mdp, policy, alpha))
+    cloud, sources = _played(mdp, policy, alpha)
+    return _rounds(
+        cloud, np.zeros(2 * sources.size), lambda out: sources, lambda out, _: cloud.pair(out)
+    )
 
 
 def spe(

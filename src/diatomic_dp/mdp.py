@@ -200,19 +200,12 @@ def bellman_policy_op(mdp: Mdp, policy: Policy, q: np.ndarray) -> np.ndarray:
     return np.einsum("xay,xay->xa", mdp.transition, target)
 
 
-def operator_sweeps(
-    step: Callable[[Any], Any],
-    start: Any,
-    change: Callable[[Any, Any], float] = lambda new, old: float(np.abs(new - old).max()),
-) -> Iterator[tuple[Any, float]]:
-    """Yield ``(x, change(x, previous))`` for x = step(previous), from ``start`` on, forever.
-
-    The default change is the sup-norm distance between tables.
-    """
+def operator_sweeps(step: Callable[[Any], Any], start: Any) -> Iterator[tuple[Any, float]]:
+    """Yield ``(x, sup-norm of x - previous)`` for x = step(previous), from ``start`` on, forever."""
     prev = start
     while True:
         x = step(prev)
-        yield x, change(x, prev)
+        yield x, float(np.abs(x - prev).max())
         prev = x
 
 
@@ -246,7 +239,7 @@ def run_sweeps(
     """The one fixed-point loop: walk ``sweeps`` until a residual is at most ``tol``.
 
     ``sweeps`` yields one (value, residual) per iteration: a sweep, or a
-    round for ``diatomic.pair_rounds``. Stops after ``max_iter`` of them
+    round for ``diatomic._rounds``. Stops after ``max_iter`` of them
     without raising; the returned run says whether it converged.
     ``on_sweep(iteration, value, residual)`` sees every iteration performed.
     """

@@ -62,6 +62,7 @@ class _ReturnTree:
                 self.child_ids.append(np.array(ids, dtype=np.int64))
                 self.child_probs.append(np.array(probs))
                 self.child_rewards.append(np.array(rewards))
+        self.n_children = np.array([ids.size for ids in self.child_ids])
 
         # Value-interval and mean DPs indexed by steps remaining.
         self.min_rest = np.zeros((k + 1, self.n_entries))
@@ -136,13 +137,13 @@ class _ReturnTree:
                     (p[full] * (s[full] + self.pow[t] * self.mean_rest[rem, ent[full]])).sum()
                 )
             keep = ~full & (lo < qhi + self.margin)
-            ent, p, s = self._expand(ent[keep], p[keep], s[keep], t)
-            visited += len(ent)
+            visited += int(self.n_children[ent[keep]].sum())  # the next frontier's size
             if visited > self.node_cap:
                 raise ResourceError(
                     f"return-tree traversal exceeded {self.node_cap} nodes; "
                     "the branching-discount product is too large for this horizon"
                 )
+            ent, p, s = self._expand(ent[keep], p[keep], s[keep], t)
 
         # The frontier now holds every leaf the quantile atom could be; the
         # accumulated mass is exactly the mass of leaves resolved below it.

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from diatomic_dp.control import (
     CertificateReport,
+    ControlRounds,
     optimality_certificate,
     risky_bellman_apply,
     safe_bellman_apply,
@@ -11,13 +12,82 @@ from diatomic_dp.control import (
 )
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.diatomic import spe
+from diatomic_dp.dist import left_tail_weights
 from diatomic_dp.errors import ConvergenceError, DomainError, PreconditionError
-from diatomic_dp.mdp import Policy
+from diatomic_dp.mdp import Mdp, Policy, _require_balanced, optimal_action_sets, run_sweeps
 
 
 @pytest.fixture
 def fig1():
     return fig1_mdp()
+
+
+def dense_tail_q_table(mdp, v1, v2, alpha):
+    """Left tail mean at alpha of each entry's dense 2S-particle cloud: successor
+    y gives mass alpha * P(y|x,a) at r(x,a,y) + gamma * v1(y) and the rest at
+    the v2 analogue, zero-mass ones included, sorted in one (S, A, 2S) array."""
+    vals = np.concatenate(
+        [mdp.reward + mdp.gamma * v1[None, None, :], mdp.reward + mdp.gamma * v2[None, None, :]],
+        axis=2,
+    )
+    wts = np.concatenate([alpha * mdp.transition, (1.0 - alpha) * mdp.transition], axis=2)
+    order = np.argsort(vals, axis=2, kind="stable")
+    v = np.take_along_axis(vals, order, axis=2)
+    w = np.take_along_axis(wts, order, axis=2)
+    return (left_tail_weights(w, alpha) * v).sum(axis=2) / alpha
+
+
+def reference_step(mdp, v1, v2, alpha, risky, v_star):
+    """One dense sweep: (left table, selected v1, complementary v2)."""
+    q1 = dense_tail_q_table(mdp, v1, v2, alpha)
+    if risky:
+        v1_next = np.where(mdp.action_mask, q1, np.inf).min(axis=1)
+    else:
+        v1_next = np.where(mdp.action_mask, q1, -np.inf).max(axis=1)
+    return q1, v1_next, (v_star - alpha * v1_next) / (1.0 - alpha)
+
+
+def reference_svi(mdp, alpha, risky, tol):
+    """Dense sweeps from (0, v_star / (1 - alpha)) until one moves v1 by at most tol."""
+    _, v_star = _require_balanced(mdp)
+    v1, v2 = np.zeros(mdp.n_states), v_star / (1.0 - alpha)
+    while True:
+        q1, v1_next, v2 = reference_step(mdp, v1, v2, alpha, risky, v_star)
+        if np.abs(v1_next - v1).max() <= tol:
+            return q1, v1_next, v2
+        v1 = v1_next
+
+
+def sparse_balanced(seed, gamma, n_states=4, n_actions=2):
+    """Two successors per entry, rewards shifted so every action has Q* = v(x)."""
+    rng = np.random.default_rng(seed)
+    transition = np.zeros((n_states, n_actions, n_states))
+    for x in range(n_states):
+        for a in range(n_actions):
+            succ = rng.choice(n_states, size=2, replace=False)
+            transition[x, a, succ] = rng.dirichlet(np.ones(2))
+    v = rng.uniform(0.0, 4.0, size=n_states)
+    reward = rng.uniform(-1.0, 3.0, size=transition.shape)
+    onestep = np.einsum("xay,xay->xa", transition, reward + gamma * v[None, None, :])
+    reward = (reward + (v[:, None] - onestep)[:, :, None]) * (transition > 0.0)
+    return Mdp(transition=transition, reward=reward, gamma=gamma)
+
+
+def tied_balanced(seed, gamma):
+    """Uniform kernel, each state's actions permute one integer reward row:
+    balanced exactly, with many particles sharing a value."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 3, size=(3, 3))
+    reward = np.array([[rng.permutation(row) for _ in range(2)] for row in base], dtype=float)
+    return Mdp(transition=np.full((3, 2, 3), 1.0 / 3.0), reward=reward, gamma=gamma)
+
+
+def _balanced_cases():
+    for gamma in (0.6, 0.9, 0.99):
+        for seed in range(2):
+            yield pytest.param(random_balanced_mdp(4, 2, gamma, seed), id=f"dense-g{gamma}-s{seed}")
+            yield pytest.param(sparse_balanced(seed, gamma), id=f"sparse-g{gamma}-s{seed}")
+            yield pytest.param(tied_balanced(seed, gamma), id=f"ties-g{gamma}-s{seed}")
 
 
 class TestOneStep:
@@ -99,9 +169,63 @@ class TestSvi:
         with pytest.raises(DomainError, match="mode"):
             svi(fig1, 0.5, mode="yolo")
 
-    def test_exhaustion_raises(self, fig1):
-        with pytest.raises(ConvergenceError):
-            svi(fig1, 0.5, tol=1e-13, max_iter=2)
+    def test_exhaustion_raises(self):
+        mdp = random_balanced_mdp(3, 2, 0.99, seed=1)
+        assert svi(mdp, 0.5, tol=1e-12).iterations > 3
+        with pytest.raises(ConvergenceError, match="after 3 rounds") as err:
+            svi(mdp, 0.5, tol=1e-12, max_iter=3)
+        assert err.value.iterations == 3
+        assert err.value.residual > 1e-12
+
+
+class TestRounds:
+    @pytest.mark.parametrize("mdp", list(_balanced_cases()))
+    def test_rounds_agree_with_dense_sweeps(self, mdp):
+        tol, ref_tol = 1e-10, 1e-13
+        bound = mdp.gamma * (tol + ref_tol) / (1.0 - mdp.gamma)
+        for alpha in (0.3, 0.5, 0.7):
+            for mode in ("safe", "risky"):
+                res = svi(mdp, alpha, mode, tol=tol)
+                q1, v1, v2 = reference_svi(mdp, alpha, mode == "risky", ref_tol)
+                q_star, _ = _require_balanced(mdp)
+                assert res.residual <= tol
+                assert np.abs(res.v1 - v1).max() <= bound
+                assert np.abs(res.v2 - v2).max() <= bound
+                assert np.abs(res.q1 - q1).max() <= bound
+                assert np.abs(res.q2 - (q_star - alpha * q1) / (1.0 - alpha)).max() <= bound
+                want = optimal_action_sets(mdp, -q1 if mode == "risky" else q1)
+                assert res.action_sets == want
+
+    @pytest.mark.parametrize("mdp", list(_balanced_cases()))
+    def test_one_sweep_equals_dense_reference(self, mdp):
+        rng = np.random.default_rng(7)
+        _, v_star = _require_balanced(mdp)
+        for alpha in (0.3, 0.5, 0.7):
+            # unrelated v1 and v2: their tails do not average to v_star
+            v1 = rng.uniform(-3.0, 3.0, size=mdp.n_states)
+            for v2 in (v1 + rng.uniform(0.0, 2.0, size=v1.shape), np.round(v1)):
+                for apply_step, risky in ((safe_bellman_apply, False), (risky_bellman_apply, True)):
+                    step = apply_step(mdp, v1, v2, alpha)
+                    q1, v1_next, v2_next = reference_step(mdp, v1, v2, alpha, risky, v_star)
+                    assert_allclose(step.q1, q1, rtol=0, atol=1e-12)
+                    assert_allclose(step.v1, v1_next, rtol=0, atol=1e-12)
+                    assert_allclose(step.v2, v2_next, rtol=0, atol=1e-12)
+
+    def test_nan_solve_falls_back_to_sweeps(self, fig1, monkeypatch):
+        want = svi(fig1, 0.3, "risky", tol=1e-12)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, c: np.full_like(c, np.nan))
+        history = []
+        rounds = ControlRounds(fig1, 0.3, "risky")
+        run = run_sweeps(rounds, 1e-12, 1000, on_sweep=lambda it, step, r: history.append(r))
+        monkeypatch.undo()
+        res = rounds.result(run)
+        # every round took the plain sweep, which contracts by gamma = 1/2 at alpha <= 1/2
+        assert run.converged and res.iterations > want.iterations
+        for early, late in zip(history, history[1:]):
+            assert late <= fig1.gamma * early + 1e-15
+        assert_allclose(res.v1, want.v1, atol=1e-11)
+        assert_allclose(res.q2, want.q2, atol=1e-11)
+        assert res.action_sets == want.action_sets
 
 
 class TestCertificate:

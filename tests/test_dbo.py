@@ -9,7 +9,7 @@ from diatomic_dp.dbo import ATOM_CAP, DistFunction, dbo_apply, dbo_iterate, retu
 from diatomic_dp.dist import DiscreteDist, avar_left, avar_right, expectation, mix, wasserstein
 from diatomic_dp.errors import DomainError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy
-from diatomic_dp.returns import exact_return_avars
+from diatomic_dp.returns import _ReturnTree, exact_return_avars
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +292,18 @@ class TestReturnAvars:
     def test_node_budget_enforced(self, fig1):
         with pytest.raises(ResourceError, match="node"):
             exact_return_avars(fig1, Policy.uniform(fig1), 0.5, 30, node_cap=3)
+
+    def test_node_budget_checked_before_expanding(self, monkeypatch):
+        mdp = random_mdp(30, 4, 0.9, seed=3)
+        built = []
+        expand = _ReturnTree._expand
+
+        def counting_expand(tree, *args):
+            out = expand(tree, *args)
+            built.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(_ReturnTree, "_expand", counting_expand)
+        with pytest.raises(ResourceError, match="exceeded 200000 nodes"):
+            exact_return_avars(mdp, Policy.uniform(mdp), 0.5, 6, node_cap=200_000)
+        assert built and sum(built) <= 200_000

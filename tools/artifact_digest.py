@@ -51,7 +51,7 @@ def mdp_runs(path: str):
     yield ["spe", path, "--max-iter", "20"]
     yield ["eval", path, "--max-iter", "3"]
     for cmd in ("safe", "risky"):
-        for alpha in ("0.3", "0.5"):
+        for alpha in ("0.3", "0.5", "0.7"):
             yield [cmd, path, "--alpha", alpha]
         yield [cmd, path, "--alpha", "0.3", "--max-iter", "3"]
     yield ["dbo", path, "--k", "4"]
