@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .control import ControlRounds
-from .dbo import DistFunction, dbo_iterate
+from .dbo import DistFunction, dbo_steps
 from .diatomic import pair_rounds, spe
 from .dist import DiscreteDist, avar_left, avar_right, expectation
 from .errors import (
@@ -203,8 +203,7 @@ def _cmd_dbo(args) -> int:
     policy = _parse_policy(mdp, args.policy)
     df = DistFunction.dirac_zero(mdp)
     rows = []
-    for step in range(1, args.k + 1):
-        df = dbo_iterate(mdp, policy, df, 1)
+    for step, df in enumerate(dbo_steps(mdp, policy, df, args.k), 1):
         rows.append([step, df.total_atoms(), df.max_atoms()])
     _write_trace(args, ["step", "total_atoms", "max_entry_atoms"], rows)
     entries = {}

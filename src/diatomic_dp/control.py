@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, _Particles, _rounds, spe
+from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, _Particles, _rounds, _successors, spe
 from .errors import DomainError
 from .mdp import (
     DEFAULT_MAX_ITER,
@@ -34,6 +34,10 @@ from .mdp import (
     optimal_action_sets,
     run_sweeps,
 )
+
+ENUMERATION_CAP = 4096  # most deterministic policies optimality_certificate enumerates
+CERTIFICATE_SAMPLES = 64  # policies it samples past that cap, besides the greedy one
+CERTIFICATE_SEED = 0  # seed of that sample
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class ControlRounds:
 
     def table(self) -> _Particles:
         s = self.mdp.n_states
-        return _Particles(self.mdp, self.mdp.transition.reshape(-1, s), np.arange(s), self.alpha)
+        table = _successors(self.mdp, self.mdp.transition.reshape(-1, s), np.arange(s))
+        return _Particles(self.mdp, table, self.alpha)
 
     def pick(self, out: np.ndarray) -> np.ndarray:
         q1 = out[: out.size // 2].reshape(self.mdp.action_mask.shape)
@@ -188,17 +193,15 @@ def optimality_certificate(
     alpha: float,
     mode: str = "safe",
     tol: float = CHECK_TOL,
-    enumeration_cap: int = 4096,
-    n_samples: int = 64,
-    seed: int = 0,
 ) -> CertificateReport:
     """Verify a control solution by evaluating deterministic policies.
 
     Every deterministic admissible policy gets a full two-sided evaluation;
     its own left value at each state must not beat the claimed optimum
     (exceed it for safe, undercut it for risky). All policies are
-    enumerated when there are at most ``enumeration_cap``, otherwise a
-    seeded sample is drawn and the greedy policy is always included.
+    enumerated when there are at most ``ENUMERATION_CAP``, otherwise
+    ``CERTIFICATE_SAMPLES`` are drawn with seed ``CERTIFICATE_SEED`` and the
+    greedy policy is always included.
     """
     result = svi(mdp, alpha, mode=mode, tol=REFERENCE_TOL)
     risky = mode == "risky"
@@ -207,12 +210,12 @@ def optimality_certificate(
     total = 1
     for group in mdp.action_sets:
         total *= len(group)
-    if total <= enumeration_cap:
+    if total <= ENUMERATION_CAP:
         candidates = list(itertools.product(*mdp.action_sets))
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(CERTIFICATE_SEED)
         candidates = [greedy]
-        for _ in range(n_samples):
+        for _ in range(CERTIFICATE_SAMPLES):
             candidates.append(
                 tuple(int(group[rng.integers(len(group))]) for group in mdp.action_sets)
             )

@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from .mdp import Mdp, mdp_from_dict, mdp_to_dict
+from .mdp import Mdp, mdp_from_dict, save_mdp
 
 # Seeds for the stock corpus; the discount for the 3-state instances is
 # deliberately lower so that k-step return trees stay narrow enough for the
@@ -74,8 +74,6 @@ def bundled_corpus(out_dir: str) -> list[str]:
     paths = []
     for name, mdp in stock_corpus():
         path = out / f"{name}.json"
-        with open(path, "w") as fh:
-            json.dump(mdp_to_dict(mdp), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_mdp(mdp, str(path))
         paths.append(str(path))
     return paths

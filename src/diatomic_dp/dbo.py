@@ -2,24 +2,24 @@
 
 Each application pushes every entry's distribution through the dynamics:
 atom counts multiply by up to the number of supported (state, action)
-pairs, so repeated application grows exponentially. ``dbo_iterate`` fails
-loudly on a configurable atom budget; ``return_avars`` gets the k-step tail
-means from an exact lazy tree walk (see ``returns.py``) that never builds
-the table.
+pairs, so repeated application grows exponentially, and ``dbo_steps``
+raises once a table holds more than ``ATOM_CAP`` atoms. ``dbo_apply``
+mixes the successors' pushforwards in a plain loop that shares nothing
+with the solvers: it is the reference that the lazy k-step tail means of
+``returns`` are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .dist import DiscreteDist, mix, pushforward_affine
 from .errors import DomainError, ResourceError, StructuralError
 from .mdp import Mdp, Policy, check_policy
-from .returns import NODE_CAP, exact_return_avars
 
-ATOM_CAP = 2_000_000
+ATOM_CAP = 2_000_000  # most atoms a table may hold after a step
 
 
 class DistFunction:
@@ -103,72 +103,24 @@ def dbo_apply(mdp: Mdp, policy: Policy, df: DistFunction) -> DistFunction:
     return DistFunction(out)
 
 
-def _prune(d: DiscreteDist, eps: float) -> DiscreteDist:
-    keep = d.probs >= eps
-    if not keep.any():
-        raise DomainError(f"prune threshold {eps} would remove every atom")
-    probs = d.probs[keep]
-    return DiscreteDist(d.values[keep], probs / probs.sum())
+def dbo_steps(mdp: Mdp, policy: Policy, df: DistFunction, k: int) -> Iterator[DistFunction]:
+    """The tables after each of ``k`` operator steps from ``df``.
 
-
-def dbo_iterate(
-    mdp: Mdp,
-    policy: Policy,
-    df: DistFunction,
-    k: int,
-    prune_eps: float = 0.0,
-    atom_cap: int = ATOM_CAP,
-) -> DistFunction:
-    """Apply the operator ``k`` times with canonicalization after each step.
-
-    With ``prune_eps > 0`` atoms below that probability are dropped after
-    each step and the rest renormalized: an approximation, but one that
-    keeps long horizons tractable. Exceeding ``atom_cap`` raises instead of
-    thrashing.
+    A step whose table holds more than ``ATOM_CAP`` atoms raises instead
+    of thrashing.
     """
     if k < 0:
         raise DomainError(f"step count must be nonnegative, got {k}")
-    if prune_eps < 0.0:
-        raise DomainError(f"prune threshold must be nonnegative, got {prune_eps}")
     for _ in range(k):
         df = dbo_apply(mdp, policy, df)
-        if prune_eps > 0.0:
-            df = DistFunction([[_prune(d, prune_eps) for d in row] for row in df.dists])
         total = df.total_atoms()
-        if total > atom_cap:
-            raise ResourceError(
-                f"atom budget exceeded: {total} > {atom_cap}; "
-                "raise the cap or pass prune_eps to trade exactness for size"
-            )
+        if total > ATOM_CAP:
+            raise ResourceError(f"atom budget exceeded: {total} > {ATOM_CAP}")
+        yield df
+
+
+def dbo_iterate(mdp: Mdp, policy: Policy, df: DistFunction, k: int) -> DistFunction:
+    """The table after ``k`` operator steps from ``df`` (see ``dbo_steps``)."""
+    for df in dbo_steps(mdp, policy, df, k):
+        pass
     return df
-
-
-@dataclass(frozen=True)
-class ReturnAvars:
-    """Tail means of k-step return approximations, with their a-priori error."""
-
-    left: np.ndarray
-    right: np.ndarray
-    error_bound: float
-    k: int
-
-
-def return_avars(
-    mdp: Mdp,
-    policy: Policy,
-    alpha: float,
-    k: int,
-    node_cap: int = NODE_CAP,
-) -> ReturnAvars:
-    """Per-(x, a) left/right tail means of the k-step return distribution.
-
-    The distribution is the k-fold operator image of the point mass at
-    zero; truncating at k costs at most gamma^k * max|r| / (1 - gamma) in
-    the uniform quantile distance, which bounds the tail-mean error and is
-    returned alongside the estimates. The tail means are exact, computed by
-    a lazy traversal of the outcome tree, which checks the arguments.
-    """
-    span = mdp.reward_span()
-    bound = mdp.gamma**k * span / (1.0 - mdp.gamma) if mdp.gamma > 0.0 else 0.0
-    left, right = exact_return_avars(mdp, policy, alpha, k, node_cap=node_cap)
-    return ReturnAvars(left, right, bound, k)

@@ -10,7 +10,7 @@ atom lists are ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,31 +82,61 @@ def _check_size(mdp: Mdp) -> None:
         )
 
 
-class _Particles:
-    """Every entry's particle cloud over k unknowns, in a padded (S*A, K) layout.
+class _Successors(NamedTuple):
+    """Every entry's successors among k unknowns, in a padded (S*A, W) layout.
 
-    ``link[e, j]`` is the mass entry e = (x, a) moves onto unknown j, and
-    ``states[j]`` names that unknown's state, so the step reward is
-    r(x, a, states[j]). A pair is carried as the stacked vector q = (q1, q2)
-    over the unknowns: ``spe``'s unknowns are the entries its policy plays
-    (link P * pi), ``svi``'s are the states (link P). Each entry lists its
-    successors with positive mass first and pads to the widest entry with
-    zero-mass ones, so no two particles of one entry share an unknown.
-    Each successor gives two particles: mass alpha * link at
-    r + gamma * q1 and the complementary mass at the q2 value. Every sweep
-    leaves each entry's particles in the order it sorted them, so the next
-    sort starts nearly sorted and ``solve`` reads the order from the table.
+    Row e = (x, a) of ``succ`` lists the unknowns e moves positive mass
+    onto, in index order, then pads to the widest row with zero-mass
+    unknowns, so no unknown appears twice in a row. ``mass`` holds each
+    listed unknown's mass and ``reward`` the step reward r(x, a, y) onto
+    its state y.
     """
 
-    def __init__(self, mdp: Mdp, link: np.ndarray, states: np.ndarray, alpha: float):
-        s, a_n = mdp.n_states, mdp.n_actions
-        m, k = link.shape
-        width = int(np.count_nonzero(link, axis=1).max())
-        succ = np.argsort(link == 0.0, axis=1, kind="stable")[:, :width]
-        mass = np.take_along_axis(link, succ, axis=1)
-        reward = np.take_along_axis(mdp.reward.reshape(m, s), states[succ], axis=1)
-        self.shape, self.gamma, self.alpha = (s, a_n), mdp.gamma, alpha
-        self.rows = np.arange(m)[:, None]
+    succ: np.ndarray
+    mass: np.ndarray
+    reward: np.ndarray
+    k: int
+
+
+def _successors(mdp: Mdp, link: np.ndarray, states: np.ndarray) -> _Successors:
+    """The table of ``link[e, j]``, the mass entry e moves onto unknown j, whose state is ``states[j]``."""
+    m, k = link.shape
+    width = int(np.count_nonzero(link, axis=1).max())
+    succ = np.argsort(link == 0.0, axis=1, kind="stable")[:, :width]
+    mass = np.take_along_axis(link, succ, axis=1)
+    reward = np.take_along_axis(mdp.reward.reshape(m, -1), states[succ], axis=1)
+    return _Successors(succ, mass, reward, k)
+
+
+def _played_table(mdp: Mdp, policy: Policy) -> tuple[_Successors, np.ndarray]:
+    """The table whose unknowns are the entries the policy plays, with those entries.
+
+    Entry (x, a) moves mass P(y|x,a) * pi(b|y) onto each played entry
+    (y, b), so its row lists its successor entries in (y, b) order.
+    """
+    _check_size(mdp)
+    m = mdp.n_states * mdp.n_actions
+    sources = np.flatnonzero(policy.probs.ravel() > 0.0)
+    link = (mdp.transition[:, :, :, None] * policy.probs[None, None, :, :]).reshape(m, m)
+    return _successors(mdp, link[:, sources], sources // mdp.n_actions), sources
+
+
+class _Particles:
+    """Every entry's particle cloud over the unknowns of a successor table.
+
+    A pair is carried as the stacked vector q = (q1, q2) over the unknowns:
+    ``spe``'s unknowns are the entries its policy plays (``_played_table``),
+    ``svi``'s are the states (link P). Each successor gives two particles:
+    mass alpha * mass at r + gamma * q1 and the complementary mass at the
+    q2 value. Every sweep leaves each entry's particles in the order it
+    sorted them, so the next sort starts nearly sorted and ``solve`` reads
+    the order from the table.
+    """
+
+    def __init__(self, mdp: Mdp, table: _Successors, alpha: float):
+        succ, mass, reward, k = table
+        self.shape, self.gamma, self.alpha = (mdp.n_states, mdp.n_actions), mdp.gamma, alpha
+        self.rows = np.arange(succ.shape[0])[:, None]
         self.src = np.concatenate([succ, succ + k], axis=1).astype(np.int32)
         self.reward = np.concatenate([reward, reward], axis=1)
         self.mass = np.concatenate([alpha * mass, (1.0 - alpha) * mass], axis=1)
@@ -161,11 +191,9 @@ class _Particles:
 
 
 def _played(mdp: Mdp, policy: Policy, alpha: float) -> tuple[_Particles, np.ndarray]:
-    """``spe``'s table, whose unknowns are the entries the policy plays, with those entries."""
-    m = mdp.n_states * mdp.n_actions
-    sources = np.flatnonzero(policy.probs.ravel() > 0.0)
-    link = (mdp.transition[:, :, :, None] * policy.probs[None, None, :, :]).reshape(m, m)
-    return _Particles(mdp, link[:, sources], sources // mdp.n_actions, alpha), sources
+    """``spe``'s particles on ``_played_table``, with the entries the policy plays."""
+    table, sources = _played_table(mdp, policy)
+    return _Particles(mdp, table, alpha), sources
 
 
 def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
@@ -177,7 +205,6 @@ def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
     The new pair is the left/right tail mean of that particle cloud.
     """
     check_policy(mdp, policy)
-    _check_size(mdp)
     cloud, sources = _played(mdp, policy, dq.alpha)
     stacked = np.concatenate([dq.q1.ravel(), dq.q2.ravel()])
     return cloud.pair(cloud.sweep(stacked[cloud.at(sources)]))
@@ -229,7 +256,6 @@ def pair_rounds(mdp: Mdp, policy: Policy, alpha: float) -> Iterator[tuple[Double
     """
     check_policy(mdp, policy)
     _check_alpha(alpha)
-    _check_size(mdp)
     cloud, sources = _played(mdp, policy, alpha)
     return _rounds(
         cloud, np.zeros(2 * sources.size), lambda out: sources, lambda out, _: cloud.pair(out)

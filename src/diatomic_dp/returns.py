@@ -22,85 +22,67 @@ a small resolution margin absorbs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .diatomic import _check_alpha
+from .diatomic import _check_alpha, _played_table
 from .errors import DomainError, ResourceError
 from .mdp import Mdp, Policy, check_policy
 
 _MARGIN = 1e-12  # resolution margin around the bracket (times scale)
-NODE_CAP = 2_000_000  # default budget of return-tree nodes visited per entry
+NODE_CAP = 2_000_000  # budget of return-tree nodes visited per entry
 
 
 class _ReturnTree:
-    def __init__(self, mdp: Mdp, policy: Policy, k: int, node_cap: int):
+    def __init__(self, mdp: Mdp, policy: Policy, k: int):
         check_policy(mdp, policy)
         if k < 1:
             raise DomainError(f"need at least one step, got {k}")
         self.k = k
-        self.node_cap = node_cap
-        s_n, a_n = mdp.n_states, mdp.n_actions
-        self.n_entries = s_n * a_n
         self.pow = mdp.gamma ** np.arange(k + 1)
 
-        # Per-entry child arrays: successor entry ids, step probabilities
-        # P(y|x,a) pi(b|y), and edge rewards r(x,a,y).
-        self.child_ids: list[np.ndarray] = []
-        self.child_probs: list[np.ndarray] = []
-        self.child_rewards: list[np.ndarray] = []
-        for x in range(s_n):
-            for a in range(a_n):
-                ids, probs, rewards = [], [], []
-                for y in range(s_n):
-                    p_y = mdp.transition[x, a, y]
-                    if p_y == 0.0:
-                        continue
-                    for b in policy.support(y):
-                        ids.append(y * a_n + b)
-                        probs.append(p_y * policy.probs[y, b])
-                        rewards.append(mdp.reward[x, a, y])
-                self.child_ids.append(np.array(ids, dtype=np.int64))
-                self.child_probs.append(np.array(probs))
-                self.child_rewards.append(np.array(rewards))
-        self.n_children = np.array([ids.size for ids in self.child_ids])
+        # The children of entry e are its successor entries in diatomic's
+        # played table: child[e, :n_children[e]], with step probabilities
+        # P(y|x,a) pi(b|y) and edge rewards r(x,a,y); zero-mass padding follows.
+        table, sources = _played_table(mdp, policy)
+        self.child, self.prob, self.reward = sources[table.succ], table.mass, table.reward
+        self.n_children = np.count_nonzero(self.prob, axis=1)
+        real = self.prob > 0.0
 
         # Value-interval and mean DPs indexed by steps remaining.
-        self.min_rest = np.zeros((k + 1, self.n_entries))
-        self.max_rest = np.zeros((k + 1, self.n_entries))
-        self.mean_rest = np.zeros((k + 1, self.n_entries))
+        self.min_rest = np.zeros((k + 1, self.child.shape[0]))
+        self.max_rest = np.zeros_like(self.min_rest)
+        self.mean_rest = np.zeros_like(self.min_rest)
         for j in range(1, k + 1):
-            for e in range(self.n_entries):
-                ids = self.child_ids[e]
-                rewards = self.child_rewards[e]
-                self.min_rest[j, e] = (
-                    rewards + mdp.gamma * self.min_rest[j - 1, ids]
-                ).min()
-                self.max_rest[j, e] = (
-                    rewards + mdp.gamma * self.max_rest[j - 1, ids]
-                ).max()
-                self.mean_rest[j, e] = float(
-                    np.dot(
-                        self.child_probs[e],
-                        rewards + mdp.gamma * self.mean_rest[j - 1, ids],
-                    )
-                )
+            low, high, mean = (
+                self.reward + mdp.gamma * rest[j - 1, self.child]
+                for rest in (self.min_rest, self.max_rest, self.mean_rest)
+            )
+            self.min_rest[j] = np.where(real, low, np.inf).min(axis=1)
+            self.max_rest[j] = np.where(real, high, -np.inf).max(axis=1)
+            # one dot product per row: the same sums as a dot over the real children
+            self.mean_rest[j] = (self.prob[:, None, :] @ mean[:, :, None])[:, 0, 0]
         scale = max(
             1.0, float(np.abs(self.min_rest[k]).max()), float(np.abs(self.max_rest[k]).max())
         )
         self.margin = _MARGIN * scale
 
     def _expand(self, ent, p, s, t):
-        parts_e, parts_p, parts_s = [], [], []
-        for e in np.unique(ent):
-            sel = ent == e
-            cp, cr, ci = self.child_probs[e], self.child_rewards[e], self.child_ids[e]
-            parts_p.append((p[sel][:, None] * cp[None, :]).ravel())
-            parts_s.append((s[sel][:, None] + self.pow[t] * cr[None, :]).ravel())
-            parts_e.append(np.tile(ci, sel.sum()))
+        """The children of the frontier nodes at depth t, without the zero-mass padding.
+
+        Children come grouped by parent entry, in a stable order, so every
+        later sum over the frontier adds its terms in a fixed order.
+        """
+        node = np.argsort(ent, kind="stable")
+        counts = self.n_children[ent[node]]
+        node = np.repeat(node, counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)  # each child's parent's first slot
+        cell = ent[node] * self.child.shape[1] + np.arange(node.size) - first
         return (
-            np.concatenate(parts_e),
-            np.concatenate(parts_p),
-            np.concatenate(parts_s),
+            self.child.ravel()[cell],
+            p[node] * self.prob.ravel()[cell],
+            s[node] + self.pow[t] * self.reward.ravel()[cell],
         )
 
     @staticmethod
@@ -138,9 +120,9 @@ class _ReturnTree:
                 )
             keep = ~full & (lo < qhi + self.margin)
             visited += int(self.n_children[ent[keep]].sum())  # the next frontier's size
-            if visited > self.node_cap:
+            if visited > NODE_CAP:
                 raise ResourceError(
-                    f"return-tree traversal exceeded {self.node_cap} nodes; "
+                    f"return-tree traversal exceeded {NODE_CAP} nodes; "
                     "the branching-discount product is too large for this horizon"
                 )
             ent, p, s = self._expand(ent[keep], p[keep], s[keep], t)
@@ -168,14 +150,35 @@ def exact_return_avars(
     policy: Policy,
     alpha: float,
     k: int,
-    node_cap: int = NODE_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left/right tail means of every entry's k-step return distribution."""
     _check_alpha(alpha)
-    tree = _ReturnTree(mdp, policy, k, node_cap)
-    left = np.zeros((mdp.n_states, mdp.n_actions))
-    right = np.zeros((mdp.n_states, mdp.n_actions))
-    for x in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            left[x, a], right[x, a] = tree.avars(x * mdp.n_actions + a, alpha)
-    return left, right
+    tree = _ReturnTree(mdp, policy, k)
+    left, right = np.array([tree.avars(root, alpha) for root in range(tree.child.shape[0])]).T
+    shape = (mdp.n_states, mdp.n_actions)
+    return left.reshape(shape), right.reshape(shape)
+
+
+@dataclass(frozen=True)
+class ReturnAvars:
+    """Tail means of k-step return approximations, with their a-priori error."""
+
+    left: np.ndarray
+    right: np.ndarray
+    error_bound: float
+    k: int
+
+
+def return_avars(mdp: Mdp, policy: Policy, alpha: float, k: int) -> ReturnAvars:
+    """Per-(x, a) left/right tail means of the k-step return distribution.
+
+    The distribution is the k-fold operator image of the point mass at
+    zero; truncating at k costs at most gamma^k * max|r| / (1 - gamma) in
+    the uniform quantile distance, which bounds the tail-mean error and is
+    returned alongside the estimates. The tail means are exact, computed by
+    the lazy traversal above, which checks the arguments.
+    """
+    span = mdp.reward_span()
+    bound = mdp.gamma**k * span / (1.0 - mdp.gamma) if mdp.gamma > 0.0 else 0.0
+    left, right = exact_return_avars(mdp, policy, alpha, k)
+    return ReturnAvars(left, right, bound, k)

@@ -22,9 +22,10 @@ import numpy as np
 from .diatomic import CHECK_SPE_TOL, CHECK_TOL, DoubleQ, _check_alpha, alpha_coherence, spe
 from .errors import DomainError, PreconditionError, PropertyFailure, ResourceError
 from .mdp import REFERENCE_TOL, Mdp, Policy, check_policy, state_values
+from .returns import return_avars
 
 PERMUTATION_STATE_CAP = 4
-CANDIDATE_CAP = 1_000_000
+CANDIDATE_CAP = 1_000_000  # most kernel combinations worst_best_case evaluates
 _SOLVE_CHUNK = 65_536
 ATTAIN_TOL = 1e-9  # a candidate within this of both extremes attains them
 SLACK_TOL = 1e-9  # numerical allowance on the tail-bracketing slacks
@@ -328,7 +329,6 @@ def worst_best_case(
     mdp: Mdp,
     policy: Policy,
     alpha: float,
-    candidate_cap: int = CANDIDATE_CAP,
     double_q: DoubleQ | None = None,
 ) -> WorstBestResult:
     """Brute-force the value extremes over permutation-built kernels.
@@ -366,9 +366,9 @@ def worst_best_case(
     n_cand = 1
     for c in rep_counts:
         n_cand *= c
-    if n_cand > candidate_cap:
+    if n_cand > CANDIDATE_CAP:
         raise ResourceError(
-            f"{n_cand} kernel candidates exceed the cap of {candidate_cap}"
+            f"{n_cand} kernel candidates exceed the cap of {CANDIDATE_CAP}"
         )
 
     r_lift = _lift_reward(mdp)
@@ -456,8 +456,6 @@ def bavar_vs_avar_gap(
     mean cannot exceed v1 and the right cannot undercut v2, each within
     eps_k plus a small numerical allowance.
     """
-    from .dbo import return_avars
-
     dq = spe(mdp, policy, alpha, tol=REFERENCE_TOL).double_q
     _require_coherent(mdp, policy, alpha, dq)
     ra = return_avars(mdp, policy, alpha, k)

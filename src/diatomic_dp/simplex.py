@@ -99,10 +99,9 @@ class LpSolution:
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    hit = np.flatnonzero(np.abs(tab[:, col]) > 0.0)
-    for i in hit:
-        if i != row:
-            tab[i] -= tab[i, col] * tab[row]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    tab -= np.outer(factor, tab[row])
     basis[row] = col
 
 

@@ -211,6 +211,19 @@ class TestDbo:
         assert entry["avar_right"] == pytest.approx(3.9375)
 
 
+    def test_negative_step_count_exits_2(self, fig1_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["dbo", fig1_path, "--k", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: step count must be nonnegative")
+        assert not out.exists()
+
+    def test_zero_steps_keep_the_point_mass(self, fig1_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["dbo", fig1_path, "--k", "0", "--out", str(out)]) == 0
+        assert read_trace(out) == (["step", "total_atoms", "max_entry_atoms"], [])
+        assert read_result(out)["entries"]["x1_a1"]["values"] == [0.0]
+
+
 class TestRobustVerify:
     def test_fig1_report(self, fig1_path, tmp_path, capsys):
         out = tmp_path / "run"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diatomic_dp import control
 from diatomic_dp.control import (
     CertificateReport,
     ControlRounds,
@@ -250,7 +251,9 @@ class TestCertificate:
         assert rep.ok
         assert rep.n_checked == 8
 
-    def test_sampling_path(self, fig1):
-        rep = optimality_certificate(fig1, 0.5, "safe", enumeration_cap=1, n_samples=10)
+    def test_sampling_path(self, fig1, monkeypatch):
+        monkeypatch.setattr(control, "ENUMERATION_CAP", 1)
+        monkeypatch.setattr(control, "CERTIFICATE_SAMPLES", 10)
+        rep = optimality_certificate(fig1, 0.5, "safe")
         assert rep.ok
         assert rep.n_checked == 11

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diatomic_dp import dbo, returns
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
-from diatomic_dp.dbo import ATOM_CAP, DistFunction, dbo_apply, dbo_iterate, return_avars
+from diatomic_dp.dbo import DistFunction, dbo_apply, dbo_iterate
 from diatomic_dp.dist import DiscreteDist, avar_left, avar_right, expectation, mix, wasserstein
 from diatomic_dp.errors import DomainError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy
-from diatomic_dp.returns import _ReturnTree, exact_return_avars
+from diatomic_dp.returns import _ReturnTree, exact_return_avars, return_avars
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +182,19 @@ class TestIterate:
         out = dbo_iterate(fig1, Policy.uniform(fig1), df, 0)
         assert out.entry(0, 0) is df.entry(0, 0)
 
-    def test_atom_budget_enforced(self, fig1, start_dist):
-        with pytest.raises(ResourceError, match="prune_eps"):
+    def test_atom_budget_enforced(self, fig1, start_dist, monkeypatch):
+        monkeypatch.setattr(dbo, "ATOM_CAP", 100)
+        with pytest.raises(ResourceError, match="atom budget exceeded"):
             dbo_iterate(
                 fig1,
                 Policy.uniform(fig1),
                 DistFunction.constant(fig1, start_dist),
                 6,
-                atom_cap=100,
             )
 
-    def test_prune_keeps_mass_one(self, fig1, start_dist):
-        out = dbo_iterate(
-            fig1,
-            Policy.uniform(fig1),
-            DistFunction.constant(fig1, start_dist),
-            6,
-            prune_eps=1e-3,
-            atom_cap=10_000,
-        )
-        for row in out.dists:
-            for d in row:
-                assert_allclose(d.probs.sum(), 1.0, atol=1e-12)
-                assert d.probs.min() >= 1e-3 * 0.5  # renormalization only grows atoms
-
-    def test_prune_everything_rejected(self, fig1, start_dist):
-        with pytest.raises(DomainError):
-            dbo_iterate(
-                fig1, Policy.uniform(fig1), DistFunction.constant(fig1, start_dist), 3,
-                prune_eps=0.9,
-            )
+    def test_negative_step_count_rejected(self, fig1, start_dist):
+        with pytest.raises(DomainError, match="step count must be nonnegative"):
+            dbo_iterate(fig1, Policy.uniform(fig1), DistFunction.constant(fig1, start_dist), -1)
 
 
 def dense_tails(mdp, pi, alpha, k):
@@ -289,9 +273,10 @@ class TestReturnAvars:
         with pytest.raises(DomainError):
             return_avars(fig1, Policy.uniform(fig1), alpha, 5)
 
-    def test_node_budget_enforced(self, fig1):
+    def test_node_budget_enforced(self, fig1, monkeypatch):
+        monkeypatch.setattr(returns, "NODE_CAP", 3)
         with pytest.raises(ResourceError, match="node"):
-            exact_return_avars(fig1, Policy.uniform(fig1), 0.5, 30, node_cap=3)
+            exact_return_avars(fig1, Policy.uniform(fig1), 0.5, 30)
 
     def test_node_budget_checked_before_expanding(self, monkeypatch):
         mdp = random_mdp(30, 4, 0.9, seed=3)
@@ -304,6 +289,7 @@ class TestReturnAvars:
             return out
 
         monkeypatch.setattr(_ReturnTree, "_expand", counting_expand)
+        monkeypatch.setattr(returns, "NODE_CAP", 200_000)
         with pytest.raises(ResourceError, match="exceeded 200000 nodes"):
-            exact_return_avars(mdp, Policy.uniform(mdp), 0.5, 6, node_cap=200_000)
+            exact_return_avars(mdp, Policy.uniform(mdp), 0.5, 6)
         assert built and sum(built) <= 200_000

@@ -332,6 +332,61 @@ class TestRounds:
             assert_allclose(res.double_q.q2, want.q2, atol=1e-11)
 
 
+def child_lists(mdp, policy):
+    """Each entry's (successor entries, masses, rewards), by plain loops over (x, a, y, b)."""
+    lists = []
+    for x in range(mdp.n_states):
+        for a in range(mdp.n_actions):
+            ids, probs, rewards = [], [], []
+            for y in range(mdp.n_states):
+                p_y = mdp.transition[x, a, y]
+                if p_y == 0.0:
+                    continue
+                for b in policy.support(y):
+                    ids.append(y * mdp.n_actions + b)
+                    probs.append(p_y * policy.probs[y, b])
+                    rewards.append(mdp.reward[x, a, y])
+            lists.append((ids, probs, rewards))
+    return lists
+
+
+class TestSuccessors:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_played_table_equals_child_lists(self, seed):
+        sparse, sparse_pi = sparse_instance(seed)
+        dense = random_mdp(3, 3, 0.8, seed=seed)
+        mixed = np.eye(2)[np.zeros(4, dtype=int)]
+        mixed[0] = 0.5  # entries that reach state 0 get one successor more than the others
+        cases = [(sparse, sparse_pi), (sparse, Policy(mixed)), (sparse, Policy.always(sparse, 1))]
+        cases += [(dense, Policy.always(dense, 0)), (dense, Policy(np.tile([0.5, 0.0, 0.5], (3, 1))))]
+        padded = 0
+        for mdp, policy in cases:
+            table, sources = diatomic._played_table(mdp, policy)
+            lists = child_lists(mdp, policy)
+            width = max(len(ids) for ids, _, _ in lists)
+            assert table.succ.shape == table.mass.shape == table.reward.shape == (len(lists), width)
+            assert table.k == sources.size
+            for e, (ids, probs, rewards) in enumerate(lists):
+                n = len(ids)
+                assert sources[table.succ[e, :n]].tolist() == ids
+                assert table.mass[e, :n].tolist() == probs
+                assert table.reward[e, :n].tolist() == rewards
+                assert not table.mass[e, n:].any()  # zero-mass padding
+                assert len(set(table.succ[e].tolist())) == width  # no unknown twice in a row
+                padded += width - n
+        assert padded > 0
+
+    def test_state_table_lists_the_kernel_support(self):
+        mdp, _ = sparse_instance(5)
+        s = mdp.n_states
+        table = diatomic._successors(mdp, mdp.transition.reshape(-1, s), np.arange(s))
+        for e, row in enumerate(mdp.transition.reshape(-1, s)):
+            ys = np.flatnonzero(row)
+            assert table.succ[e].tolist() == ys.tolist()  # two successors each: no padding
+            assert table.mass[e].tolist() == row[ys].tolist()
+            assert table.reward[e].tolist() == mdp.reward.reshape(-1, s)[e, ys].tolist()
+
+
 class TestParticles:
     @pytest.mark.parametrize("seed", range(6))
     def test_live_sweep_equals_dense_layout(self, seed):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from diatomic_dp import robust
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.diatomic import spe
 from diatomic_dp.errors import (
@@ -317,11 +318,12 @@ class TestWorstBest:
         with pytest.raises(ResourceError, match="cap"):
             worst_best_case(mdp, policy, 0.5)
 
-    def test_candidate_cap_is_enforced(self):
+    def test_candidate_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(robust, "CANDIDATE_CAP", 1)
         mdp = random_balanced_mdp(2, 2, gamma=0.5, seed=100)
         policy = Policy.always(mdp, 0)
         with pytest.raises(ResourceError, match="candidates"):
-            worst_best_case(mdp, policy, 0.5, candidate_cap=1)
+            worst_best_case(mdp, policy, 0.5)
 
 
 class TestTailBracketing:
