@@ -122,7 +122,6 @@ def _parse_nu0(text: str) -> np.ndarray:
 def _params(args, **extra) -> dict:
     base = {
         "command": args.command,
-        "seed": args.seed,
         "tol": args.tol,
         "max_iter": args.max_iter,
     }
@@ -390,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory for artifacts")
         cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
         cmd.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-        cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--gamma", type=float, default=None, help="discount override")
         if alpha:
             cmd.add_argument("--alpha", type=float, default=0.5)
