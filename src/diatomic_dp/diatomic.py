@@ -99,7 +99,8 @@ class _Successors(NamedTuple):
 
 
 def _successors(mdp: Mdp, link: np.ndarray, states: np.ndarray) -> _Successors:
-    """The table of ``link[e, j]``, the mass entry e moves onto unknown j, whose state is ``states[j]``."""
+    """The table of ``link``, where ``link[e, j]`` is the mass entry e moves
+    onto unknown j and ``states[j]`` is that unknown's state."""
     m, k = link.shape
     width = int(np.count_nonzero(link, axis=1).max())
     succ = np.argsort(link == 0.0, axis=1, kind="stable")[:, :width]
