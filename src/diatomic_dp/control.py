@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, _Particles, _rounds, _successors, spe
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .mdp import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     REFERENCE_TOL,
     Mdp,
@@ -36,8 +36,6 @@ from .mdp import (
 )
 
 ENUMERATION_CAP = 4096  # most deterministic policies optimality_certificate enumerates
-CERTIFICATE_SAMPLES = 64  # policies it samples past that cap, besides the greedy one
-CERTIFICATE_SEED = 0  # seed of that sample
 
 
 @dataclass(frozen=True)
@@ -147,14 +145,8 @@ class ControlRounds:
         )
 
 
-def svi(
-    mdp: Mdp,
-    alpha: float,
-    mode: str = "safe",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ControlResult:
-    """Safe or risky control by rounds of order iteration; max_iter counts rounds.
+def svi(mdp: Mdp, alpha: float, mode: str = "safe", tol: float = DEFAULT_TOL) -> ControlResult:
+    """Safe or risky control by rounds of order iteration, at most ``mdp.DEFAULT_MAX_ITER``.
 
     Each round freezes every entry's particle order and each state's picked
     action, solves the pair that fixes, and certifies it with one sweep
@@ -166,7 +158,7 @@ def svi(
     See ``ControlRounds.result`` for q2 and the action sets.
     """
     rounds = ControlRounds(mdp, alpha, mode)
-    run = run_sweeps(rounds, tol, max_iter).require_converged(f"{mode} control", "rounds")
+    run = run_sweeps(rounds, tol).require_converged(f"{mode} control", "rounds")
     return rounds.result(run)
 
 
@@ -188,40 +180,24 @@ class CertificateReport:
     n_checked: int
 
 
-def optimality_certificate(
-    mdp: Mdp,
-    alpha: float,
-    mode: str = "safe",
-    tol: float = CHECK_TOL,
-) -> CertificateReport:
-    """Verify a control solution by evaluating deterministic policies.
+def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> CertificateReport:
+    """Verify a control solution by evaluating every deterministic policy.
 
     Every deterministic admissible policy gets a full two-sided evaluation;
     its own left value at each state must not beat the claimed optimum
-    (exceed it for safe, undercut it for risky). All policies are
-    enumerated when there are at most ``ENUMERATION_CAP``, otherwise
-    ``CERTIFICATE_SAMPLES`` are drawn with seed ``CERTIFICATE_SEED`` and the
-    greedy policy is always included.
+    (exceed it for safe, undercut it for risky) by more than ``CHECK_TOL``.
+    More than ``ENUMERATION_CAP`` policies raise ResourceError before any solve.
     """
+    total = math.prod(len(group) for group in mdp.action_sets)
+    if total > ENUMERATION_CAP:
+        raise ResourceError(
+            f"{total} deterministic policies exceed the enumeration cap of {ENUMERATION_CAP}"
+        )
     result = svi(mdp, alpha, mode=mode, tol=REFERENCE_TOL)
     risky = mode == "risky"
+    # the greedy policy is among the candidates: group[0] of each action set
     greedy = tuple(group[0] for group in result.action_sets)
-
-    total = 1
-    for group in mdp.action_sets:
-        total *= len(group)
-    if total <= ENUMERATION_CAP:
-        candidates = list(itertools.product(*mdp.action_sets))
-    else:
-        rng = np.random.default_rng(CERTIFICATE_SEED)
-        candidates = [greedy]
-        for _ in range(CERTIFICATE_SAMPLES):
-            candidates.append(
-                tuple(int(group[rng.integers(len(group))]) for group in mdp.action_sets)
-            )
-
-    # greedy is always among the candidates: group[0] in the enumeration
-    # branch, explicitly prepended in the sampled branch
+    candidates = list(itertools.product(*mdp.action_sets))
     worst = -np.inf
     witness = None
     attained = np.inf
@@ -235,7 +211,7 @@ def optimality_certificate(
             witness = choices
         if choices == greedy:
             attained = float(np.abs(own - result.v1).max())
-    ok = worst <= tol and attained <= tol
+    ok = worst <= CHECK_TOL and attained <= CHECK_TOL
     return CertificateReport(
         ok=ok,
         mode=mode,

@@ -16,10 +16,10 @@ import numpy as np
 
 from .dist import left_tail_weights, right_tail_weights
 from .errors import DomainError, ResourceError
-from .mdp import DEFAULT_MAX_ITER, DEFAULT_TOL, Mdp, Policy, check_policy, run_sweeps
+from .mdp import DEFAULT_TOL, Mdp, Policy, check_policy, run_sweeps
 
 ORDER_TOL = 1e-9
-CHECK_TOL = 1e-8  # default verdict tolerance of the coherence, certificate and axiom checks
+CHECK_TOL = 1e-8  # verdict tolerance of the coherence, certificate and axiom checks
 CHECK_SPE_TOL = 1e-11  # fixed-point tolerance of the spe solves inside those checks
 # largest dense particle count 2(SA)^2: one particle array of the dense layout,
 # half the (2SA)^2 system a round solves
@@ -218,7 +218,6 @@ class SpeSolve:
     double_q: DoubleQ
     residual: float
     iterations: int
-    history: tuple[float, ...] | None = None
 
 
 def _rounds(cloud: _Particles, start, pick, value) -> Iterator[tuple[Any, float]]:
@@ -263,14 +262,7 @@ def pair_rounds(mdp: Mdp, policy: Policy, alpha: float) -> Iterator[tuple[Double
     )
 
 
-def spe(
-    mdp: Mdp,
-    policy: Policy,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    record_history: bool = False,
-) -> SpeSolve:
+def spe(mdp: Mdp, policy: Policy, alpha: float, tol: float = DEFAULT_TOL) -> SpeSolve:
     """Solve the projected operator's fixed point by rounds of order iteration.
 
     The operator is a gamma-contraction in the sup norm over both tables,
@@ -278,18 +270,10 @@ def spe(
     round's certificate sweep on the entries the policy plays (the others
     are read off those in the sweep), and the returned pair is that
     sweep's output, within gamma * residual / (1 - gamma) of the fixed
-    point everywhere; max_iter counts rounds.
+    point everywhere; at most ``mdp.DEFAULT_MAX_ITER`` rounds run.
     """
-    history: list[float] = []
-    run = run_sweeps(
-        pair_rounds(mdp, policy, alpha),
-        tol,
-        max_iter,
-        on_sweep=(lambda it, dq, residual: history.append(residual)) if record_history else None,
-    ).require_converged("value pair", "rounds")
-    return SpeSolve(
-        run.value, run.residual, run.iterations, tuple(history) if record_history else None
-    )
+    run = run_sweeps(pair_rounds(mdp, policy, alpha), tol).require_converged("value pair", "rounds")
+    return SpeSolve(run.value, run.residual, run.iterations)
 
 
 @dataclass(frozen=True)
@@ -309,10 +293,9 @@ def alpha_coherence(
     mdp: Mdp,
     policy: Policy,
     alpha: float,
-    tol: float = CHECK_TOL,
     double_q: DoubleQ | None = None,
 ) -> CoherenceReport:
-    """Check that both tail-mean tables are flat across each support set.
+    """Check that both tail-mean tables are flat across each support set, within ``CHECK_TOL``.
 
     Deterministic policies pass trivially (singleton supports), without a
     solve. Pass a precomputed fixed point as double_q to skip the solve.
@@ -320,7 +303,7 @@ def alpha_coherence(
     check_policy(mdp, policy)
     _check_alpha(alpha)
     if (np.count_nonzero(policy.probs, axis=1) == 1).all():
-        return CoherenceReport(ok=0.0 <= tol, max_spread=0.0, witness=None)
+        return CoherenceReport(ok=True, max_spread=0.0, witness=None)
     if double_q is None:
         double_q = spe(mdp, policy, alpha).double_q
     worst = 0.0
@@ -333,4 +316,4 @@ def alpha_coherence(
             if spread > worst:
                 worst = spread
                 witness = (x, int(sup[np.argmin(row)]), int(sup[np.argmax(row)]))
-    return CoherenceReport(ok=worst <= tol, max_spread=worst, witness=witness)
+    return CoherenceReport(ok=worst <= CHECK_TOL, max_spread=worst, witness=witness)

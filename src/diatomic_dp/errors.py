@@ -44,7 +44,3 @@ class PropertyFailure(DiatomicError):
 
 class SolverError(DiatomicError):
     """Numerical breakdown inside the LP solver."""
-
-    def __init__(self, message: str, pivot_log: list | None = None):
-        super().__init__(message)
-        self.pivot_log = pivot_log or []

@@ -233,16 +233,19 @@ class SweepRun:
 def run_sweeps(
     sweeps: Iterable[tuple[Any, float]],
     tol: float,
-    max_iter: int,
+    max_iter: int | None = None,
     on_sweep: Callable[[int, Any, float], None] | None = None,
 ) -> SweepRun:
     """The one fixed-point loop: walk ``sweeps`` until a residual is at most ``tol``.
 
     ``sweeps`` yields one (value, residual) per iteration: a sweep, or a
     round for ``diatomic._rounds``. Stops after ``max_iter`` of them
-    without raising; the returned run says whether it converged.
+    (``DEFAULT_MAX_ITER`` when None, read at call time) without raising;
+    the returned run says whether it converged.
     ``on_sweep(iteration, value, residual)`` sees every iteration performed.
     """
+    if max_iter is None:
+        max_iter = DEFAULT_MAX_ITER
     if max_iter < 1:
         raise DomainError(f"max_iter must be positive, got {max_iter}")
     if not tol > 0.0:
@@ -264,13 +267,9 @@ def policy_sweeps(mdp: Mdp, policy: Policy) -> Iterator[tuple[np.ndarray, float]
     return operator_sweeps(lambda q: bellman_policy_op(mdp, policy, q), q0)
 
 
-def evaluate_policy(
-    mdp: Mdp, policy: Policy, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> QSolve:
+def evaluate_policy(mdp: Mdp, policy: Policy, tol: float = DEFAULT_TOL) -> QSolve:
     """Iterate the policy's Bellman operator to its unique fixed point Q^pi."""
-    run = run_sweeps(policy_sweeps(mdp, policy), tol, max_iter).require_converged(
-        "policy evaluation"
-    )
+    run = run_sweeps(policy_sweeps(mdp, policy), tol).require_converged("policy evaluation")
     return QSolve(run.value, run.residual, run.iterations)
 
 
@@ -278,9 +277,7 @@ def _masked_max(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, q, -np.inf).max(axis=1)
 
 
-def value_iteration(
-    mdp: Mdp, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> QSolve:
+def value_iteration(mdp: Mdp, tol: float = DEFAULT_TOL) -> QSolve:
     """Optimal-value iteration over the admissible actions."""
     mask = mdp.action_mask
 
@@ -290,7 +287,7 @@ def value_iteration(
         return np.einsum("xay,xay->xa", mdp.transition, target)
 
     q0 = np.zeros((mdp.n_states, mdp.n_actions))
-    run = run_sweeps(operator_sweeps(step, q0), tol, max_iter).require_converged("value iteration")
+    run = run_sweeps(operator_sweeps(step, q0), tol).require_converged("value iteration")
     return QSolve(run.value, run.residual, run.iterations)
 
 
@@ -326,9 +323,9 @@ def balance_gap(mdp: Mdp) -> tuple[float, tuple[int, int, int]]:
     return mdp._balance[1:]
 
 
-def is_balanced(mdp: Mdp, tol: float = BALANCE_TOL) -> bool:
-    """True when every admissible action is optimal in its state."""
-    return mdp._balance[1] <= tol
+def is_balanced(mdp: Mdp) -> bool:
+    """True when every admissible action is optimal in its state (within ``BALANCE_TOL``)."""
+    return mdp._balance[1] <= BALANCE_TOL
 
 
 def _require_balanced(mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:

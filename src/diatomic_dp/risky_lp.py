@@ -135,14 +135,12 @@ class GapReport:
     labels: tuple
 
 
-def duality_gap_check(
-    mdp: Mdp, alpha: float, nu0=None, tol: float = GAP_TOL
-) -> GapReport:
+def duality_gap_check(mdp: Mdp, alpha: float, nu0=None) -> GapReport:
     """Solve both LPs and compare against the risky recursion.
 
     ok requires three things at once: both LPs optimal, |primal - dual|
-    within tol, and the primal argmax matching the recursion's tail values
-    entrywise within tol.
+    within ``GAP_TOL``, and the primal argmax matching the recursion's tail
+    values entrywise within ``GAP_TOL``.
     """
     problem, labels = _primal(mdp, alpha, nu0)
     primal = solve(problem)
@@ -162,7 +160,7 @@ def duality_gap_check(
     control = svi(mdp, alpha, mode="risky")
     deviation = float(np.abs(primal.x - control.v1).max())
     return GapReport(
-        ok=gap <= tol and deviation <= tol,
+        ok=gap <= GAP_TOL and deviation <= GAP_TOL,
         gap=gap,
         primal_objective=primal.objective_value,
         dual_objective=dual.objective_value,

@@ -25,6 +25,8 @@ from diatomic_dp.corpus import (
     random_mdp,
     stock_corpus,
 )
+from diatomic_dp import mdp as mdp_module
+from diatomic_dp import robust
 from diatomic_dp.diatomic import DoubleQ, diatomic_bellman_apply, spe
 from diatomic_dp.dist import DiscreteDist, avar_left, avar_left_dual, avar_right
 from diatomic_dp.mdp import Policy, evaluate_policy, is_balanced, value_iteration
@@ -94,12 +96,13 @@ def test_criterion_02_two_state_value_iteration_golden():
     )
 
 
-def test_criterion_03_two_tail_evaluation_golden():
+def test_criterion_03_two_tail_evaluation_golden(monkeypatch):
     mdp = fig1_mdp()
     pi = Policy.always(mdp, 1)
+    monkeypatch.setattr(mdp_module, "DEFAULT_MAX_ITER", 60)
 
     def work():
-        return spe(mdp, pi, alpha=0.5, tol=1e-9, max_iter=60)
+        return spe(mdp, pi, alpha=0.5, tol=1e-9)
 
     sol = work()
     assert sol.iterations <= 60
@@ -309,7 +312,7 @@ def test_criterion_09_control_operator_property_suite():
 
         # explicit enumeration certifies both claimed optima
         for mode in ("safe", "risky"):
-            report = optimality_certificate(mdp, alpha, mode=mode, tol=1e-8)
+            report = optimality_certificate(mdp, alpha, mode=mode)
             assert report.ok
             assert report.n_checked == a_n**n
     print(
@@ -354,14 +357,14 @@ def test_criterion_10_linear_program_duality():
     )
 
 
-def test_criterion_11_risk_measure_axioms_under_reward_perturbations():
+def test_criterion_11_risk_measure_axioms_under_reward_perturbations(monkeypatch):
     fig1 = fig1_mdp()
     pi = Policy.always(fig1, 1)
     expected = {"translation", "subadditivity", "homogeneity", "monotonicity"}
+    assert (robust.AXIOM_TRIALS, robust.CHECK_TOL) == (50, 1e-8)
     for state in (0, 1):
-        report = coherence_axioms_check(
-            fig1, pi, alpha=0.5, x=state, n_trials=50, seed=11 + state, tol=1e-8
-        )
+        monkeypatch.setattr(robust, "AXIOM_SEED", 11 + state)
+        report = coherence_axioms_check(fig1, pi, alpha=0.5, x=state)
         assert report.ok
         assert report.n_trials == 50
         assert set(report.violations) == expected

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diatomic_dp import control
+from diatomic_dp import mdp as mdp_module
 from diatomic_dp.control import (
     CertificateReport,
     ControlRounds,
@@ -14,7 +15,7 @@ from diatomic_dp.control import (
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.diatomic import spe
 from diatomic_dp.dist import left_tail_weights
-from diatomic_dp.errors import ConvergenceError, DomainError, PreconditionError
+from diatomic_dp.errors import ConvergenceError, DomainError, PreconditionError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, _require_balanced, optimal_action_sets, run_sweeps
 
 
@@ -170,11 +171,12 @@ class TestSvi:
         with pytest.raises(DomainError, match="mode"):
             svi(fig1, 0.5, mode="yolo")
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
         mdp = random_balanced_mdp(3, 2, 0.99, seed=1)
         assert svi(mdp, 0.5, tol=1e-12).iterations > 3
+        monkeypatch.setattr(mdp_module, "DEFAULT_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="after 3 rounds") as err:
-            svi(mdp, 0.5, tol=1e-12, max_iter=3)
+            svi(mdp, 0.5, tol=1e-12)
         assert err.value.iterations == 3
         assert err.value.residual > 1e-12
 
@@ -251,9 +253,10 @@ class TestCertificate:
         assert rep.ok
         assert rep.n_checked == 8
 
-    def test_sampling_path(self, fig1, monkeypatch):
-        monkeypatch.setattr(control, "ENUMERATION_CAP", 1)
-        monkeypatch.setattr(control, "CERTIFICATE_SAMPLES", 10)
-        rep = optimality_certificate(fig1, 0.5, "safe")
-        assert rep.ok
-        assert rep.n_checked == 11
+    def test_over_cap_raises(self, fig1, monkeypatch):
+        monkeypatch.setattr(control, "ENUMERATION_CAP", 4)
+        assert optimality_certificate(fig1, 0.5, "safe").n_checked == 4
+        monkeypatch.setattr(control, "ENUMERATION_CAP", 3)
+        monkeypatch.setattr(control, "svi", None)  # refused before any solve
+        with pytest.raises(ResourceError, match="4 deterministic policies exceed"):
+            optimality_certificate(fig1, 0.5, "safe")

@@ -12,6 +12,7 @@ from diatomic_dp.diatomic import (
     SpeSolve,
     alpha_coherence,
     diatomic_bellman_apply,
+    pair_rounds,
     spe,
 )
 from diatomic_dp.dist import (
@@ -23,12 +24,22 @@ from diatomic_dp.dist import (
     right_tail_weights,
 )
 from diatomic_dp.errors import ConvergenceError, DomainError, ResourceError
-from diatomic_dp.mdp import Mdp, Policy, evaluate_policy, save_mdp
+from diatomic_dp import mdp as mdp_module
+from diatomic_dp.mdp import Mdp, Policy, evaluate_policy, run_sweeps, save_mdp
 
 
 @pytest.fixture
 def fig1():
     return fig1_mdp()
+
+
+def traced_rounds(mdp, policy, alpha, tol):
+    """``spe``'s rounds run to ``tol``: the run and every round's residual."""
+    history = []
+    run = run_sweeps(
+        pair_rounds(mdp, policy, alpha), tol, on_sweep=lambda it, dq, r: history.append(r)
+    )
+    return run, history
 
 
 def dist_level_apply(mdp, policy, dq):
@@ -258,21 +269,20 @@ class TestSpe:
         assert_allclose(res.double_q.q1, evaluate_policy(m, pi, tol=1e-13).q, atol=1e-9)
 
     def test_history_contracts_geometrically(self, fig1):
-        res = spe(fig1, Policy.uniform(fig1), 0.5, tol=1e-10, record_history=True)
+        res = spe(fig1, Policy.uniform(fig1), 0.5, tol=1e-10)
         assert isinstance(res, SpeSolve)
-        assert len(res.history) == res.iterations
-        assert res.history[-1] == res.residual
-        for early, late in zip(res.history[1:], res.history[2:]):
+        _, history = traced_rounds(fig1, Policy.uniform(fig1), 0.5, 1e-10)
+        assert len(history) == res.iterations
+        assert history[-1] == res.residual
+        for early, late in zip(history[1:], history[2:]):
             assert late <= fig1.gamma * early + 1e-12
 
-    def test_no_history_by_default(self, fig1):
-        assert spe(fig1, Policy.uniform(fig1), 0.5).history is None
-
-    def test_max_iter_exhaustion(self):
+    def test_max_iter_exhaustion(self, monkeypatch):
         mdp = random_mdp(3, 2, 0.99, seed=2)
         assert spe(mdp, Policy.uniform(mdp), 0.1, tol=1e-12).iterations > 3
+        monkeypatch.setattr(mdp_module, "DEFAULT_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="after 3 rounds") as err:
-            spe(mdp, Policy.uniform(mdp), 0.1, tol=1e-12, max_iter=3)
+            spe(mdp, Policy.uniform(mdp), 0.1, tol=1e-12)
         assert err.value.iterations == 3
         assert err.value.residual > 1e-12
 
@@ -302,34 +312,34 @@ class TestRounds:
 
     @pytest.mark.parametrize("mdp, pi", list(_rounds_cases()))
     def test_residuals_contract_by_gamma_and_certify_tol(self, mdp, pi):
-        res = spe(mdp, pi, 0.3, tol=1e-12, record_history=True)
+        res, history = traced_rounds(mdp, pi, 0.3, 1e-12)
         assert res.residual <= 1e-12
         assert res.iterations <= 10  # plain sweeps would need hundreds at gamma 0.99
-        for early, late in zip(res.history, res.history[1:]):
+        for early, late in zip(history, history[1:]):
             assert late <= mdp.gamma * early
 
     def test_chunked_fill_equals_one_chunk(self, monkeypatch):
         mdp, pi = sparse_instance(3, n_states=6, n_actions=3)
-        whole = spe(mdp, pi, 0.35, tol=1e-12, record_history=True)
+        whole, whole_history = traced_rounds(mdp, pi, 0.35, 1e-12)
         monkeypatch.setattr(diatomic, "_CHUNK", 8)  # one or two rows per chunk
-        chunked = spe(mdp, pi, 0.35, tol=1e-12, record_history=True)
-        assert chunked.history == whole.history
-        assert np.array_equal(chunked.double_q.q1, whole.double_q.q1)
-        assert np.array_equal(chunked.double_q.q2, whole.double_q.q2)
+        chunked, chunked_history = traced_rounds(mdp, pi, 0.35, 1e-12)
+        assert chunked_history == whole_history
+        assert np.array_equal(chunked.value.q1, whole.value.q1)
+        assert np.array_equal(chunked.value.q2, whole.value.q2)
 
     def test_garbage_solve_falls_back_to_sweeps(self, fig1, monkeypatch):
         pi = Policy.uniform(fig1)
         want = spe(fig1, pi, 0.5, tol=1e-12).double_q
         for garbage in (1e6, np.nan):
             monkeypatch.setattr(np.linalg, "solve", lambda a, c, g=garbage: np.full_like(c, g))
-            res = spe(fig1, pi, 0.5, tol=1e-12, record_history=True)
+            res, history = traced_rounds(fig1, pi, 0.5, 1e-12)
             monkeypatch.undo()
             # every round took the plain sweep, which halves the residual at gamma = 1/2
-            assert res.iterations > 30
-            for early, late in zip(res.history, res.history[1:]):
+            assert res.converged and res.iterations > 30
+            for early, late in zip(history, history[1:]):
                 assert late <= fig1.gamma * early + 1e-15
-            assert_allclose(res.double_q.q1, want.q1, atol=1e-11)
-            assert_allclose(res.double_q.q2, want.q2, atol=1e-11)
+            assert_allclose(res.value.q1, want.q1, atol=1e-11)
+            assert_allclose(res.value.q2, want.q2, atol=1e-11)
 
 
 def child_lists(mdp, policy):

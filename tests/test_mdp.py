@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diatomic_dp import mdp as mdp_module
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.errors import ConvergenceError, DomainError, InputError
 from diatomic_dp.mdp import (
@@ -89,9 +90,10 @@ class TestEvaluatePolicy:
             sol = evaluate_policy(m, pi, tol=1e-12)
             assert_allclose(sol.q, q_pi_linear_solve(m, pi), atol=1e-8)
 
-    def test_max_iter_exhausted(self, fig1):
+    def test_max_iter_exhausted(self, fig1, monkeypatch):
+        monkeypatch.setattr(mdp_module, "DEFAULT_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            evaluate_policy(fig1, Policy.uniform(fig1), tol=1e-12, max_iter=3)
+            evaluate_policy(fig1, Policy.uniform(fig1), tol=1e-12)
         assert err.value.iterations == 3
         assert err.value.residual > 1e-12
 
@@ -151,15 +153,16 @@ class TestActionMask:
 
 
 class TestBalance:
-    def test_fig1_is_balanced(self, fig1):
-        assert is_balanced(fig1, tol=1e-9)
+    def test_fig1_is_balanced(self, fig1, monkeypatch):
+        monkeypatch.setattr(mdp_module, "BALANCE_TOL", 1e-9)
+        assert is_balanced(fig1)
         assert optimal_action_sets(fig1, value_iteration(fig1).q) == ((0, 1), (0, 1))
 
     def test_perturbed_reward_breaks_balance(self, fig1):
         r = fig1.reward.copy()
         r[0, 0, :] += 1.0
         m = fig1.with_reward(r)
-        assert not is_balanced(m, tol=1e-6)
+        assert not is_balanced(m)
         gap, (x, best, worst) = balance_gap(m)
         assert x == 0 and best == 0 and worst == 1
         assert gap > 0.5
@@ -167,29 +170,32 @@ class TestBalance:
     def test_single_action_always_balanced(self):
         assert is_balanced(random_mdp(4, 1, 0.5, seed=3))
 
-    def test_random_balanced_generator(self):
+    def test_random_balanced_generator(self, monkeypatch):
+        monkeypatch.setattr(mdp_module, "BALANCE_TOL", 1e-9)
         for seed in range(8):
             m = random_balanced_mdp(3, 3, 0.6, seed=seed)
-            assert is_balanced(m, tol=1e-9)
+            assert is_balanced(m)
 
-    def test_reduce_keeps_original_indices(self, fig1):
+    def test_reduce_keeps_original_indices(self, fig1, monkeypatch):
         r = fig1.reward.copy()
         r[0, 1, :] -= 0.5  # make a2 strictly worse in x1
         m = fig1.with_reward(r)
         reduced = reduce_to_balanced(m)
         assert reduced.action_sets[0] == (0,)
         assert reduced.action_sets[1] == (0, 1)
-        assert is_balanced(reduced, tol=1e-9)
+        monkeypatch.setattr(mdp_module, "BALANCE_TOL", 1e-9)
+        assert is_balanced(reduced)
         # dense tables untouched, actions keep their original ids
         assert reduced.transition is m.transition or np.array_equal(
             reduced.transition, m.transition
         )
 
-    def test_reduce_random_instances(self):
+    def test_reduce_random_instances(self, monkeypatch):
+        monkeypatch.setattr(mdp_module, "BALANCE_TOL", 1e-8)
         for seed in range(6):
             m = random_mdp(3, 3, 0.65, seed=seed + 50)
             reduced = reduce_to_balanced(m)
-            assert is_balanced(reduced, tol=1e-8)
+            assert is_balanced(reduced)
             for x, group in enumerate(reduced.action_sets):
                 assert set(group) <= set(range(3))
                 assert len(group) >= 1

@@ -358,11 +358,11 @@ class TestTailBracketing:
 
 
 class TestRiskAxioms:
-    def test_fig1_tail_functionals_satisfy_all_four(self):
+    def test_fig1_tail_functionals_satisfy_all_four(self, monkeypatch):
         mdp = fig1_mdp()
-        report = coherence_axioms_check(
-            mdp, Policy.always(mdp, 1), 0.5, x=0, n_trials=8, seed=42
-        )
+        monkeypatch.setattr(robust, "AXIOM_TRIALS", 8)
+        monkeypatch.setattr(robust, "AXIOM_SEED", 42)
+        report = coherence_axioms_check(mdp, Policy.always(mdp, 1), 0.5, x=0)
         assert report.ok
         assert report.n_trials == 8
         assert set(report.violations) == {
