@@ -2,11 +2,11 @@
 
 Each application pushes every entry's distribution through the dynamics:
 atom counts multiply by up to the number of supported (state, action)
-pairs, so repeated application grows exponentially, and ``dbo_steps``
-raises once a table holds more than ``ATOM_CAP`` atoms. ``dbo_apply``
-mixes the successors' pushforwards in a plain loop that shares nothing
-with the solvers: it is the reference that the lazy k-step tail means of
-``returns`` are checked against.
+pairs, so repeated application grows exponentially, and ``dbo_apply``
+raises once the entries it has built hold more than ``ATOM_CAP`` atoms.
+``dbo_apply`` builds each entry from its successors in a plain loop that
+shares nothing with the solvers: it is the reference that the lazy k-step
+tail means of ``returns`` are checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dist import DiscreteDist, mix, pushforward_affine
+from .dist import DiscreteDist
 from .errors import DomainError, ResourceError, StructuralError
 from .mdp import Mdp, Policy, check_policy
 
@@ -73,49 +73,47 @@ def _check_shapes(mdp: Mdp, df: DistFunction) -> None:
 
 
 def dbo_apply(mdp: Mdp, policy: Policy, df: DistFunction) -> DistFunction:
-    """One dynamics step: mix the successor entries' pushforwards.
+    """One dynamics step, each entry built as one distribution.
 
     Entry (x, a) becomes the mixture over supported (x', a') of the image
     of entry (x', a') under v -> r(x, a, x') + gamma * v, weighted by
-    P(x'|x, a) pi(a'|x').
+    P(x'|x, a) pi(a'|x'). Raises ResourceError as soon as the entries built
+    so far hold more than ``ATOM_CAP`` atoms; one entry holds at most as
+    many atoms as all of ``df``.
     """
     check_policy(mdp, policy)
     _check_shapes(mdp, df)
-    out = []
-    supports = [policy.support(x) for x in range(mdp.n_states)]
+    ys, bs = np.nonzero(policy.probs)  # the supported (x', a') in index order
+    dists = [df.entry(y, b) for y, b in zip(ys, bs)]
+    scaled = [mdp.gamma * d.values for d in dists]
+    masses = [d.probs / d.probs.sum() for d in dists]
+    out, total = [], 0
     for x in range(mdp.n_states):
         row = []
         for a in range(mdp.n_actions):
-            components = []
-            for y in range(mdp.n_states):
-                p_y = mdp.transition[x, a, y]
-                if p_y == 0.0:
-                    continue
-                for b in supports[y]:
-                    w = p_y * policy.probs[y, b]
-                    if w == 0.0:
-                        continue
-                    components.append(
-                        (w, pushforward_affine(df.entry(y, b), mdp.reward[x, a, y], mdp.gamma))
-                    )
-            row.append(mix(components))
+            weights = mdp.transition[x, a, ys] * policy.probs[ys, bs]
+            live = np.flatnonzero(weights > 0.0)
+            d = DiscreteDist(
+                np.concatenate([mdp.reward[x, a, ys[i]] + scaled[i] for i in live]),
+                np.concatenate([weights[i] * masses[i] for i in live]),
+            )
+            total += d.n_atoms
+            if total > ATOM_CAP:
+                raise ResourceError(
+                    f"atom budget exceeded: {total} > {ATOM_CAP} in the first "
+                    f"{x * mdp.n_actions + a + 1} of {mdp.n_states * mdp.n_actions} entries"
+                )
+            row.append(d)
         out.append(row)
     return DistFunction(out)
 
 
 def dbo_steps(mdp: Mdp, policy: Policy, df: DistFunction, k: int) -> Iterator[DistFunction]:
-    """The tables after each of ``k`` operator steps from ``df``.
-
-    A step whose table holds more than ``ATOM_CAP`` atoms raises instead
-    of thrashing.
-    """
+    """The tables after each of ``k`` operator steps from ``df`` (see ``dbo_apply``)."""
     if k < 0:
         raise DomainError(f"step count must be nonnegative, got {k}")
     for _ in range(k):
         df = dbo_apply(mdp, policy, df)
-        total = df.total_atoms()
-        if total > ATOM_CAP:
-            raise ResourceError(f"atom budget exceeded: {total} > {ATOM_CAP}")
         yield df
 
 

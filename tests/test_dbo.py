@@ -1,13 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from diatomic_dp import dbo, returns
-from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
-from diatomic_dp.dbo import DistFunction, dbo_apply, dbo_iterate
-from diatomic_dp.dist import DiscreteDist, avar_left, avar_right, expectation, mix, wasserstein
+from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp, stock_corpus
+from diatomic_dp.dbo import DistFunction, dbo_apply, dbo_iterate, dbo_steps
+from diatomic_dp.dist import (
+    DiscreteDist,
+    avar_left,
+    avar_right,
+    expectation,
+    mix,
+    pushforward_affine,
+    wasserstein,
+)
 from diatomic_dp.errors import DomainError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy
 from diatomic_dp.returns import _ReturnTree, exact_return_avars, return_avars
@@ -58,6 +67,29 @@ def quantile_curve(values, probs, taus):
     return values[idx]
 
 
+def mixture_apply(mdp, policy, df):
+    """The operator as a loop: one pushforward per successor entry, then one mixture."""
+    out = []
+    for x in range(mdp.n_states):
+        row = []
+        for a in range(mdp.n_actions):
+            components = []
+            for y in range(mdp.n_states):
+                p_y = mdp.transition[x, a, y]
+                if p_y == 0.0:
+                    continue
+                for b in policy.support(y):
+                    w = p_y * policy.probs[y, b]
+                    if w == 0.0:
+                        continue
+                    components.append(
+                        (w, pushforward_affine(df.entry(y, b), mdp.reward[x, a, y], mdp.gamma))
+                    )
+            row.append(mix(components))
+        out.append(row)
+    return DistFunction(out)
+
+
 @pytest.fixture
 def fig1():
     return fig1_mdp()
@@ -70,6 +102,25 @@ def start_dist():
 
 
 class TestApply:
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.0])
+    def test_equals_the_mixture_loop(self, gamma):
+        mdps = [random_mdp(3, 2, gamma, seed=4), *(m for _, m in stock_corpus())]
+        for mdp in (replace(m, gamma=gamma) for m in mdps):
+            rng = np.random.default_rng(3)
+            stochastic = Policy(rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states))
+            for pi in (Policy.uniform(mdp), Policy.always(mdp, 0), stochastic):
+                df = DistFunction.dirac_zero(mdp)
+                for got in dbo_steps(mdp, pi, df, 4):
+                    want = mixture_apply(mdp, pi, df)
+                    for d, w in zip(sum(got.dists, []), sum(want.dists, [])):
+                        if gamma > 0.0:  # the same atoms bit for bit
+                            assert np.array_equal(d.values, w.values)
+                            assert np.array_equal(d.probs, w.probs)
+                        else:  # the loop merges each successor's atoms first
+                            assert_allclose(d.values, w.values, rtol=0, atol=1e-15)
+                            assert_allclose(d.probs, w.probs, rtol=0, atol=1e-15)
+                    df = got
+
     def test_one_step_atoms(self, fig1, start_dist):
         df = dbo_apply(fig1, Policy.uniform(fig1), DistFunction.constant(fig1, start_dist))
         # rewards are independent of the successor here, so each entry has
@@ -181,6 +232,23 @@ class TestIterate:
         df = DistFunction.constant(fig1, start_dist)
         out = dbo_iterate(fig1, Policy.uniform(fig1), df, 0)
         assert out.entry(0, 0) is df.entry(0, 0)
+
+    def test_atom_budget_stops_before_the_last_entry(self, monkeypatch):
+        mdp = random_mdp(3, 2, 0.9, seed=4)
+        pi = Policy.uniform(mdp)
+        table = dbo_apply(mdp, pi, DistFunction.dirac_zero(mdp))
+        first = dbo_apply(mdp, pi, table).entry(0, 0).n_atoms
+        built = []
+
+        def counted(values, probs):
+            built.append(len(values))
+            return DiscreteDist(values, probs)
+
+        monkeypatch.setattr(dbo, "DiscreteDist", counted)
+        monkeypatch.setattr(dbo, "ATOM_CAP", first)  # the second entry goes over
+        with pytest.raises(ResourceError, match="in the first 2 of 6 entries"):
+            dbo_iterate(mdp, pi, table, 1)
+        assert len(built) == 2
 
     def test_atom_budget_enforced(self, fig1, start_dist, monkeypatch):
         monkeypatch.setattr(dbo, "ATOM_CAP", 100)
