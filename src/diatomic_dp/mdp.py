@@ -84,6 +84,8 @@ class Mdp:
             object.__setattr__(self, "actions", tuple(f"a{j + 1}" for j in range(a)))
         if len(self.states) != s or len(self.actions) != a:
             raise StructuralError("state/action name counts do not match table shape")
+        if len(set(self.states)) != s or len(set(self.actions)) != a:
+            raise StructuralError("state and action names must be unique")
         if not self.action_sets:
             object.__setattr__(self, "action_sets", tuple(tuple(range(a)) for _ in range(s)))
         sets = tuple(tuple(sorted(set(g))) for g in self.action_sets)
@@ -346,14 +348,13 @@ def _require_balanced(mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
 def mdp_from_dict(doc: dict) -> Mdp:
     try:
         gamma = float(doc["gamma"])
-        states = list(doc["states"])
-        actions = list(doc["actions"])
+        states, actions = doc["states"], doc["actions"]
     except KeyError as exc:
         raise InputError(f"missing required key {exc} in MDP document") from exc
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad gamma, states or actions in MDP document ({exc})") from exc
-    if not states or not actions:
-        raise InputError("states and actions must be non-empty lists")
+        raise InputError(f"bad gamma in MDP document ({exc})") from exc
+    if not (isinstance(states, list) and isinstance(actions, list) and states and actions):
+        raise InputError("states and actions must be non-empty JSON lists")
     s, a = len(states), len(actions)
     transition = np.zeros((s, a, s))
     reward = np.zeros((s, a, s))
@@ -363,9 +364,11 @@ def mdp_from_dict(doc: dict) -> Mdp:
             raise InputError(f"{what} entries must be a JSON list, got {type(entries).__name__}")
         for i, e in enumerate(entries):
             try:
-                x, j, y, v = int(e["x"]), int(e["a"]), int(e["next"]), float(e[value_key])
+                x, j, y, v = e["x"], e["a"], e["next"], float(e[value_key])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"bad {what} entry #{i}: {e!r} ({exc})") from exc
+            if not all(type(n) is int for n in (x, j, y)):  # bool is an int subclass
+                raise InputError(f"{what} entry #{i} has a non-integer index: {e!r}")
             if not (0 <= x < s and 0 <= j < a and 0 <= y < s):
                 raise InputError(f"{what} entry #{i} indexes out of range: {e!r}")
             table[x, j, y] += v

@@ -412,6 +412,12 @@ class TestLibraryParity:
             assert (got["residual"], got["iterations"]) == (want.residual, want.iterations)
 
 
+def _first_transition(**change):
+    """fig1's transitions with ``change`` applied to the first entry, as a document patch."""
+    entries = mdp_to_dict(fig1_mdp())["transitions"]
+    return {"transitions": [{**entries[0], **change}, *entries[1:]]}
+
+
 class TestErrorMapping:
     @pytest.mark.parametrize("max_iter", ["0", "-3"])
     @pytest.mark.parametrize("command", ["eval", "spe", "safe", "risky"])
@@ -428,6 +434,12 @@ class TestErrorMapping:
             ({"gamma": None}, "uniform"),
             ({"states": 5}, "uniform"),
             ({"transitions": 5}, "uniform"),
+            ({"states": "ab"}, "uniform"),
+            ({"states": {"p": 0, "q": 1}}, "uniform"),
+            ({"states": ["s", "s"]}, "uniform"),
+            ({"actions": ["a", "a"]}, "uniform"),
+            (_first_transition(x=0.9), "uniform"),
+            (_first_transition(next=False), "uniform"),
             ({}, '[["a", 1]]'),
             ({}, "[[1, 0], [0]]"),
         ],
@@ -436,6 +448,12 @@ class TestErrorMapping:
             "gamma-null",
             "states-number",
             "transitions-number",
+            "states-string",
+            "states-object",
+            "states-duplicate",
+            "actions-duplicate",
+            "index-float",
+            "index-bool",
             "policy-text",
             "policy-ragged",
         ],

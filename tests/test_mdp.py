@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from diatomic_dp import mdp as mdp_module
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
-from diatomic_dp.errors import ConvergenceError, DomainError, InputError
+from diatomic_dp.errors import ConvergenceError, DomainError, InputError, StructuralError
 from diatomic_dp.mdp import (
     Mdp,
     Policy,
@@ -265,6 +265,12 @@ class TestJsonInterchange:
         }
         with pytest.raises(InputError):
             mdp_from_dict(doc)
+
+    def test_duplicate_names_rejected(self, fig1):
+        with pytest.raises(StructuralError, match="unique"):
+            replace(fig1, states=("s", "s"))
+        with pytest.raises(StructuralError, match="unique"):
+            replace(fig1, actions=("a", "a"))
 
     def test_parse_error_has_location(self, tmp_path):
         path = tmp_path / "broken.json"
