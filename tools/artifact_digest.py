@@ -55,6 +55,7 @@ def mdp_runs(path: str):
             yield [cmd, path, "--alpha", alpha]
         yield [cmd, path, "--alpha", "0.3", "--max-iter", "3"]
     yield ["dbo", path, "--k", "4"]
+    yield ["dbo", path, "--policy", "always:0", "--k", "6"]
     for policy in ("uniform", "always:0"):
         for alpha in ("0.3", "0.5"):
             yield ["robust-verify", path, "--policy", policy, "--alpha", alpha]
