@@ -492,12 +492,7 @@ class AxiomsReport:
     n_trials: int
 
 
-def coherence_axioms_check(
-    mdp: Mdp,
-    policy: Policy,
-    alpha: float,
-    x: int,
-) -> AxiomsReport:
+def coherence_axioms_check(mdp: Mdp, policy: Policy, alpha: float, x: int) -> AxiomsReport:
     """Exercise the four risk-measure axioms on ``AXIOM_TRIALS`` random reward tables.
 
     The functional under test maps a reward table to (1 - gamma) times the
