@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import CHECK_SPE_TOL, CHECK_TOL, _check_alpha, _Particles, _rounds, _successors, spe
+from . import diatomic
+from .diatomic import CHECK_SPE_TOL, _check_alpha, _Particles, _rounds, _successors, spe
 from .errors import DomainError, ResourceError
 from .mdp import (
     DEFAULT_TOL,
@@ -185,8 +186,9 @@ def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> Certif
 
     Every deterministic admissible policy gets a full two-sided evaluation;
     its own left value at each state must not beat the claimed optimum
-    (exceed it for safe, undercut it for risky) by more than ``CHECK_TOL``.
-    More than ``ENUMERATION_CAP`` policies raise ResourceError before any solve.
+    (exceed it for safe, undercut it for risky) by more than
+    ``diatomic.CHECK_TOL``. More than ``ENUMERATION_CAP`` policies raise
+    ResourceError before any solve.
     """
     total = math.prod(len(group) for group in mdp.action_sets)
     if total > ENUMERATION_CAP:
@@ -211,7 +213,7 @@ def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> Certif
             witness = choices
         if choices == greedy:
             attained = float(np.abs(own - result.v1).max())
-    ok = worst <= CHECK_TOL and attained <= CHECK_TOL
+    ok = worst <= diatomic.CHECK_TOL and attained <= diatomic.CHECK_TOL
     return CertificateReport(
         ok=ok,
         mode=mode,

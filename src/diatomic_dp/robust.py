@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diatomic import CHECK_SPE_TOL, CHECK_TOL, DoubleQ, _check_alpha, alpha_coherence, spe
+from . import diatomic
+from .diatomic import CHECK_SPE_TOL, DoubleQ, _check_alpha, alpha_coherence, spe
 from .errors import DomainError, PreconditionError, PropertyFailure, ResourceError
 from .mdp import REFERENCE_TOL, Mdp, Policy, check_policy, state_values
 from .returns import return_avars
@@ -501,7 +502,7 @@ def coherence_axioms_check(mdp: Mdp, policy: Policy, alpha: float, x: int) -> Ax
     monotone; the left tail mirrors those (superadditive, same otherwise).
     Each evaluation reruns the full fixed-point solve on the perturbed
     table; no incremental shortcut is taken. The tables come from seed
-    ``AXIOM_SEED``, and each violation must stay within ``CHECK_TOL``.
+    ``AXIOM_SEED``, and each violation must stay within ``diatomic.CHECK_TOL``.
     """
     check_policy(mdp, policy)
     if not 0 <= x < mdp.n_states:
@@ -554,5 +555,5 @@ def coherence_axioms_check(mdp: Mdp, policy: Policy, alpha: float, x: int) -> Ax
             worst["monotonicity"], f2_dom - f2_r1, f1_dom - f1_r1
         )
 
-    ok = max(worst.values()) <= CHECK_TOL
+    ok = max(worst.values()) <= diatomic.CHECK_TOL
     return AxiomsReport(ok=ok, state=x, violations=worst, n_trials=AXIOM_TRIALS)

@@ -25,8 +25,8 @@ from diatomic_dp.corpus import (
     random_mdp,
     stock_corpus,
 )
+from diatomic_dp import diatomic, robust
 from diatomic_dp import mdp as mdp_module
-from diatomic_dp import robust
 from diatomic_dp.diatomic import DoubleQ, diatomic_bellman_apply, spe
 from diatomic_dp.dist import DiscreteDist, avar_left, avar_left_dual, avar_right
 from diatomic_dp.mdp import Policy, evaluate_policy, is_balanced, value_iteration
@@ -361,7 +361,7 @@ def test_criterion_11_risk_measure_axioms_under_reward_perturbations(monkeypatch
     fig1 = fig1_mdp()
     pi = Policy.always(fig1, 1)
     expected = {"translation", "subadditivity", "homogeneity", "monotonicity"}
-    assert (robust.AXIOM_TRIALS, robust.CHECK_TOL) == (50, 1e-8)
+    assert (robust.AXIOM_TRIALS, diatomic.CHECK_TOL) == (50, 1e-8)
     for state in (0, 1):
         monkeypatch.setattr(robust, "AXIOM_SEED", 11 + state)
         report = coherence_axioms_check(fig1, pi, alpha=0.5, x=state)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diatomic_dp import control
+from diatomic_dp import control, diatomic
 from diatomic_dp import mdp as mdp_module
 from diatomic_dp.control import (
     CertificateReport,
@@ -252,6 +252,10 @@ class TestCertificate:
         rep = optimality_certificate(m, 0.5, "safe")
         assert rep.ok
         assert rep.n_checked == 8
+
+    def test_verdict_reads_the_check_tolerance(self, fig1, monkeypatch):
+        monkeypatch.setattr(diatomic, "CHECK_TOL", -1.0)  # no policy can pass
+        assert not optimality_certificate(fig1, 0.5, "safe").ok
 
     def test_over_cap_raises(self, fig1, monkeypatch):
         monkeypatch.setattr(control, "ENUMERATION_CAP", 4)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from diatomic_dp import robust
+from diatomic_dp import diatomic, robust
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.diatomic import spe
 from diatomic_dp.errors import (
@@ -372,6 +372,12 @@ class TestRiskAxioms:
             "monotonicity",
         }
         assert max(report.violations.values()) <= 1e-8
+
+    def test_verdict_reads_the_check_tolerance(self, monkeypatch):
+        mdp = fig1_mdp()
+        monkeypatch.setattr(robust, "AXIOM_TRIALS", 1)
+        monkeypatch.setattr(diatomic, "CHECK_TOL", -1.0)  # translation's |error| >= 0 fails
+        assert not coherence_axioms_check(mdp, Policy.always(mdp, 1), 0.5, x=0).ok
 
     def test_state_out_of_range(self):
         mdp = fig1_mdp()
