@@ -120,11 +120,9 @@ def _parse_nu0(text: str) -> np.ndarray:
 
 
 def _params(args, **extra) -> dict:
-    base = {
-        "command": args.command,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-    }
+    base = {"command": args.command, "tol": args.tol}
+    if hasattr(args, "max_iter"):  # the iterative subcommands
+        base["max_iter"] = args.max_iter
     if getattr(args, "gamma", None) is not None:
         base["gamma_override"] = args.gamma
     base.update(extra)
@@ -383,41 +381,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, alpha=False, policy=False, k=False, lp=False):
+    # every subcommand takes path, --out and --tol; the others only where read
+    flags = {
+        "--max-iter": dict(type=int, default=DEFAULT_MAX_ITER),
+        "--gamma": dict(type=float, default=None, help="discount override"),
+        "--alpha": dict(type=float, default=0.5),
+        "--policy": dict(
+            default="uniform", help="'uniform', 'always:<action>' or inline JSON rows"
+        ),
+        "--k": dict(type=int, default=5, help="number of steps"),
+        "--nu0": dict(default=None, help="initial state weights"),
+        "--dump-lp": dict(default=None, help="write the primal here"),
+    }
+
+    def add(name, help_text, *names):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("path", help="MDP JSON file (distribution JSON for avar)")
         cmd.add_argument("--out", default=".", help="output directory for artifacts")
         cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        cmd.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-        cmd.add_argument("--gamma", type=float, default=None, help="discount override")
-        if alpha:
-            cmd.add_argument("--alpha", type=float, default=0.5)
-        if policy:
-            cmd.add_argument(
-                "--policy",
-                default="uniform",
-                help="'uniform', 'always:<action>' or inline JSON rows",
-            )
-        if k:
-            cmd.add_argument("--k", type=int, default=5, help="number of steps")
-        if lp:
-            cmd.add_argument("--nu0", default=None, help="initial state weights")
-            cmd.add_argument("--dump-lp", default=None, help="write the primal here")
-        return cmd
+        for flag in names:
+            cmd.add_argument(flag, **flags[flag])
 
-    add("eval", "classic expected-value policy evaluation", policy=True)
-    add("spe", "two-tail policy evaluation in rounds", alpha=True, policy=True)
-    add("dbo", "unrolled return-distribution steps", alpha=True, policy=True, k=True)
-    add("safe", "safe sorted value iteration", alpha=True)
-    add("risky", "risky sorted value iteration", alpha=True)
+    add("eval", "classic expected-value policy evaluation", "--max-iter", "--gamma", "--policy")
+    add(
+        "spe",
+        "two-tail policy evaluation in rounds",
+        "--max-iter",
+        "--gamma",
+        "--alpha",
+        "--policy",
+    )
+    add("dbo", "unrolled return-distribution steps", "--gamma", "--alpha", "--policy", "--k")
+    add("safe", "safe sorted value iteration", "--max-iter", "--gamma", "--alpha")
+    add("risky", "risky sorted value iteration", "--max-iter", "--gamma", "--alpha")
     add(
         "robust-verify",
         "brute-force kernel extremes against the recursion",
-        alpha=True,
-        policy=True,
+        "--gamma",
+        "--alpha",
+        "--policy",
     )
-    add("risky-lp", "primal/dual linear-programming route", alpha=True, lp=True)
-    add("avar", "tail means of a discrete distribution file", alpha=True)
+    add(
+        "risky-lp",
+        "primal/dual linear-programming route",
+        "--gamma",
+        "--alpha",
+        "--nu0",
+        "--dump-lp",
+    )
+    add("avar", "tail means of a discrete distribution file", "--alpha")
     return parser
 
 

@@ -11,6 +11,8 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
+from diatomic_dp import diatomic, robust
+from diatomic_dp import mdp as mdp_module
 from diatomic_dp.control import (
     optimality_certificate,
     risky_bellman_apply,
@@ -25,8 +27,6 @@ from diatomic_dp.corpus import (
     random_mdp,
     stock_corpus,
 )
-from diatomic_dp import diatomic, robust
-from diatomic_dp import mdp as mdp_module
 from diatomic_dp.diatomic import DoubleQ, diatomic_bellman_apply, spe
 from diatomic_dp.dist import DiscreteDist, avar_left, avar_left_dual, avar_right
 from diatomic_dp.mdp import Policy, evaluate_policy, is_balanced, value_iteration

@@ -353,6 +353,7 @@ class TestAvar:
         result = read_result(out)
         assert result["avar_left"] == pytest.approx(-1.0 / 0.7, abs=1e-12)
         assert result["avar_right"] == pytest.approx(2.0 / 0.3, abs=1e-12)
+        assert set(result["params"]) == {"command", "tol", "alpha"}
         assert "left avar" in capsys.readouterr().out
 
     def test_malformed_distribution_exits_1(self, tmp_path):
@@ -410,6 +411,40 @@ class TestLibraryParity:
                 same(got[key], getattr(want, key))
             assert got["action_sets"] == [list(group) for group in want.action_sets]
             assert (got["residual"], got["iterations"]) == (want.residual, want.iterations)
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["eval"], {"max_iter", "alpha", "policy"}),
+            (["safe"], {"max_iter", "alpha"}),
+            (["dbo", "--k", "1"], {"alpha", "policy", "k"}),
+            (["robust-verify", "--policy", "always:0"], {"alpha", "policy"}),
+            (["risky-lp"], {"alpha", "nu0"}),
+        ],
+        ids=["eval", "safe", "dbo", "robust-verify", "risky-lp"],
+    )
+    def test_params_list_the_accepted_flags(self, argv, keys, fig1_path, tmp_path):
+        out = tmp_path / "run"
+        assert main([argv[0], fig1_path, *argv[1:], "--out", str(out)]) == 0
+        assert set(read_result(out)["params"]) == {"command", "tol", *keys}
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("dbo", "--max-iter"),
+            ("robust-verify", "--max-iter"),
+            ("risky-lp", "--max-iter"),
+            ("avar", "--max-iter"),
+            ("avar", "--gamma"),
+        ],
+    )
+    def test_unread_flags_refused(self, command, flag, fig1_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, fig1_path, flag, "3", "--out", str(tmp_path / "r")])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _first_transition(**change):

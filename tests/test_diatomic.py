@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from diatomic_dp import diatomic
+from diatomic_dp import mdp as mdp_module
 from diatomic_dp.cli import main
 from diatomic_dp.corpus import fig1_mdp, random_mdp
 from diatomic_dp.diatomic import (
@@ -24,7 +25,6 @@ from diatomic_dp.dist import (
     right_tail_weights,
 )
 from diatomic_dp.errors import ConvergenceError, DomainError, ResourceError
-from diatomic_dp import mdp as mdp_module
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy, run_sweeps, save_mdp
 
 
