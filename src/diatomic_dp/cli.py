@@ -40,6 +40,7 @@ from .mdp import (
     Mdp,
     Policy,
     SweepRun,
+    json_number,
     load_mdp,
     policy_sweeps,
     read_json,
@@ -349,9 +350,9 @@ def _load_dist(path: str) -> DiscreteDist:
     if not isinstance(doc, list):
         raise InputError(f"{path}: expected a JSON list of {{value, prob}} entries")
     try:
-        values = [float(e["value"]) for e in doc]
-        probs = [float(e["prob"]) for e in doc]
-    except (KeyError, TypeError, ValueError) as exc:
+        values = [json_number(e["value"], f"{path}: entry #{i} value") for i, e in enumerate(doc)]
+        probs = [json_number(e["prob"], f"{path}: entry #{i} prob") for i, e in enumerate(doc)]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: bad distribution entry ({exc})") from exc
     return DiscreteDist(values, probs)
 

@@ -20,32 +20,40 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 def _canonicalize(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort, merge near-equal values and drop zero-mass atoms."""
+    """Sort, merge near-equal values and drop zero-mass atoms.
+
+    The anchor rule: in sorted order, a value more than ``MERGE_TOL`` above
+    the current group's anchor (its first value) starts a new group. The
+    anchor never exceeds the previous value, so a gap above ``MERGE_TOL``
+    always starts a group; only runs of smaller gaps need the rule applied
+    value by value, and only past ``MERGE_TOL`` from the value that opens
+    the run.
+    """
+    # stable: tied values add their masses in input order
     order = np.argsort(values, kind="stable")
     values = values[order]
     probs = probs[order]
-    # Group runs of values whose gap to the group anchor stays below MERGE_TOL.
-    groups = np.zeros(len(values), dtype=np.int64)
-    gid = 0
-    anchor = values[0] if len(values) else 0.0
-    for i in range(1, len(values)):
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.diff(values) > MERGE_TOL
+    # Each run's opening value is its base, and a value within MERGE_TOL of
+    # it joins its group. The first value past that starts a group (every
+    # earlier anchor lies at or below the base); the rest follow the rule.
+    base = np.maximum.accumulate(np.where(starts, np.arange(len(values)), 0))
+    anchor = -np.inf
+    for i in np.flatnonzero(values - values[base] > MERGE_TOL).tolist():
         if values[i] - anchor > MERGE_TOL:
-            gid += 1
-            anchor = values[i]
-        groups[i] = gid
-    n_groups = gid + 1
-    merged_p = np.zeros(n_groups)
-    np.add.at(merged_p, groups, probs)
-    sizes = np.zeros(n_groups, dtype=np.int64)
-    np.add.at(sizes, groups, 1)
+            starts[i], anchor = True, values[i]
+    groups = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    # bincount adds each group's terms in index order
+    merged_p = np.bincount(groups, weights=probs)
+    weighted = np.bincount(groups, weights=probs * values)
+    sizes = np.diff(first, append=len(values))
     # Probability-weighted representative for true merges; singleton groups
     # keep their value bit-for-bit. Zero-mass groups are dropped.
-    weighted = np.zeros(n_groups)
-    np.add.at(weighted, groups, probs * values)
-    first = np.zeros(n_groups)
-    first[groups[::-1]] = values[::-1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        merged_v = np.where(sizes > 1, weighted / merged_p, first)
+        merged_v = np.where(sizes > 1, weighted / merged_p, values[first])
     keep = merged_p > 0.0
     return merged_v[keep], merged_p[keep]
 

@@ -345,14 +345,22 @@ def _require_balanced(mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def json_number(value: Any, what: str) -> float:
+    """A JSON number as a float; InputError for true/false, strings, null and the rest."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):  # bool is an int
+        raise InputError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"{what} is out of range ({exc})") from exc
+
+
 def mdp_from_dict(doc: dict) -> Mdp:
     try:
-        gamma = float(doc["gamma"])
+        gamma = json_number(doc["gamma"], "gamma")
         states, actions = doc["states"], doc["actions"]
     except KeyError as exc:
         raise InputError(f"missing required key {exc} in MDP document") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad gamma in MDP document ({exc})") from exc
     if not (isinstance(states, list) and isinstance(actions, list) and states and actions):
         raise InputError("states and actions must be non-empty JSON lists")
     s, a = len(states), len(actions)
@@ -364,14 +372,14 @@ def mdp_from_dict(doc: dict) -> Mdp:
             raise InputError(f"{what} entries must be a JSON list, got {type(entries).__name__}")
         for i, e in enumerate(entries):
             try:
-                x, j, y, v = e["x"], e["a"], e["next"], float(e[value_key])
-            except (KeyError, TypeError, ValueError) as exc:
+                x, j, y, v = e["x"], e["a"], e["next"], e[value_key]
+            except (KeyError, TypeError) as exc:
                 raise InputError(f"bad {what} entry #{i}: {e!r} ({exc})") from exc
             if not all(type(n) is int for n in (x, j, y)):  # bool is an int subclass
                 raise InputError(f"{what} entry #{i} has a non-integer index: {e!r}")
             if not (0 <= x < s and 0 <= j < a and 0 <= y < s):
                 raise InputError(f"{what} entry #{i} indexes out of range: {e!r}")
-            table[x, j, y] += v
+            table[x, j, y] += json_number(v, f"{what} entry #{i} {value_key!r}")
 
     fill(doc.get("transitions", []), transition, "p", "transition")
     fill(doc.get("rewards", []), reward, "r", "reward")

@@ -34,6 +34,21 @@ _MARGIN = 1e-12  # resolution margin around the bracket (times scale)
 NODE_CAP = 2_000_000  # budget of return-tree nodes visited per entry
 
 
+def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sorting permutation of ``keys``, and the sorted keys.
+
+    Without ties every sort gives the one permutation that sorts the keys,
+    so the cheaper default sort serves; tied keys need the stable sort,
+    which keeps them in frontier order and so fixes every prefix sum.
+    """
+    order = keys.argsort()
+    ordered = keys[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = keys.argsort(kind="stable")
+        ordered = keys[order]
+    return order, ordered
+
+
 class _ReturnTree:
     def __init__(self, mdp: Mdp, policy: Policy, k: int):
         check_policy(mdp, policy)
@@ -48,6 +63,7 @@ class _ReturnTree:
         table, sources = _played_table(mdp, policy)
         self.child, self.prob, self.reward = sources[table.succ], table.mass, table.reward
         self.n_children = np.count_nonzero(self.prob, axis=1)
+        self.key_type = np.min_scalar_type(self.child.shape[0] - 1)
         real = self.prob > 0.0
 
         # Value-interval and mean DPs indexed by steps remaining.
@@ -74,10 +90,12 @@ class _ReturnTree:
         Children come grouped by parent entry, in a stable order, so every
         later sum over the frontier adds its terms in a fixed order.
         """
-        node = np.argsort(ent, kind="stable")
+        # the smallest key type that holds every entry id: uint8 and uint16
+        # keys take numpy's radix sort
+        node = ent.astype(self.key_type).argsort(kind="stable")
         counts = self.n_children[ent[node]]
-        node = np.repeat(node, counts)
-        first = np.repeat(np.cumsum(counts) - counts, counts)  # each child's parent's first slot
+        node = node.repeat(counts)
+        first = np.repeat(counts.cumsum() - counts, counts)  # each child's parent's first slot
         cell = ent[node] * self.child.shape[1] + np.arange(node.size) - first
         return (
             self.child.ravel()[cell],
@@ -88,10 +106,10 @@ class _ReturnTree:
     @staticmethod
     def _crossing(ends: np.ndarray, p: np.ndarray, start: float, alpha: float) -> float:
         """Smallest endpoint at which start + mass of endpoints <= it reaches alpha."""
-        order = np.argsort(ends, kind="stable")
-        cum = start + np.cumsum(p[order])
-        i = min(int(np.searchsorted(cum, alpha, side="left")), len(cum) - 1)
-        return float(ends[order[i]])
+        order, ordered = _stable_sort(ends)
+        cum = start + p[order].cumsum()
+        i = min(int(cum.searchsorted(alpha, side="left")), len(cum) - 1)
+        return float(ordered[i])
 
     def avars(self, root: int, alpha: float) -> tuple[float, float]:
         vmin = float(self.min_rest[self.k, root])
@@ -129,8 +147,8 @@ class _ReturnTree:
 
         # The frontier now holds every leaf the quantile atom could be; the
         # accumulated mass is exactly the mass of leaves resolved below it.
-        order = np.argsort(s, kind="stable")
-        values, probs = s[order], p[order]
+        order, values = _stable_sort(s)
+        probs = p[order]
         cum = below_mass + np.cumsum(probs)
         idx = min(int(np.searchsorted(cum, alpha, side="left")), len(cum) - 1)
         q = float(values[idx])

@@ -101,7 +101,9 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factor = tab[:, col].copy()
     factor[row] = 0.0
-    tab -= np.outer(factor, tab[row])
+    # the pivot row is mostly zeros, and a zero leaves its column as it is
+    cols = np.flatnonzero(tab[row])
+    tab[:, cols] -= np.outer(factor, tab[row, cols])
     basis[row] = col
 
 

@@ -361,6 +361,24 @@ class TestAvar:
         dist.write_text('{"value": 1}')
         assert main(["avar", str(dist), "--out", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"value": "1", "prob": 0.5},
+            {"value": True, "prob": 0.5},
+            {"value": 1, "prob": "0.5"},
+            {"value": 1, "prob": None},
+        ],
+        ids=["value-text", "value-bool", "prob-text", "prob-null"],
+    )
+    def test_non_number_atom_exits_1(self, entry, tmp_path, capsys):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps([entry, {"value": 2, "prob": 0.5}]))
+        out = tmp_path / "run"
+        assert main(["avar", str(dist), "--out", str(out)]) == 1
+        assert "must be a JSON number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBundledCorpus:
     def test_files_reload_and_validate(self, tmp_path):
@@ -447,10 +465,10 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _first_transition(**change):
-    """fig1's transitions with ``change`` applied to the first entry, as a document patch."""
-    entries = mdp_to_dict(fig1_mdp())["transitions"]
-    return {"transitions": [{**entries[0], **change}, *entries[1:]]}
+def _first_entry(key, **change):
+    """fig1's ``key`` entries with ``change`` applied to the first one, as a document patch."""
+    entries = mdp_to_dict(fig1_mdp())[key]
+    return {key: [{**entries[0], **change}, *entries[1:]]}
 
 
 class TestErrorMapping:
@@ -473,8 +491,12 @@ class TestErrorMapping:
             ({"states": {"p": 0, "q": 1}}, "uniform"),
             ({"states": ["s", "s"]}, "uniform"),
             ({"actions": ["a", "a"]}, "uniform"),
-            (_first_transition(x=0.9), "uniform"),
-            (_first_transition(next=False), "uniform"),
+            (_first_entry("transitions", x=0.9), "uniform"),
+            (_first_entry("transitions", next=False), "uniform"),
+            ({"gamma": "0.5"}, "uniform"),
+            (_first_entry("transitions", p=True), "uniform"),
+            (_first_entry("transitions", p=None), "uniform"),
+            (_first_entry("rewards", r="2"), "uniform"),
             ({}, '[["a", 1]]'),
             ({}, "[[1, 0], [0]]"),
         ],
@@ -489,6 +511,10 @@ class TestErrorMapping:
             "actions-duplicate",
             "index-float",
             "index-bool",
+            "gamma-numeric-text",
+            "mass-bool",
+            "mass-null",
+            "reward-numeric-text",
             "policy-text",
             "policy-ragged",
         ],

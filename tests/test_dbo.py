@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from diatomic_dp import dbo, returns
@@ -19,7 +21,7 @@ from diatomic_dp.dist import (
 )
 from diatomic_dp.errors import DomainError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy
-from diatomic_dp.returns import _ReturnTree, exact_return_avars, return_avars
+from diatomic_dp.returns import _ReturnTree, _stable_sort, exact_return_avars, return_avars
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +363,63 @@ class TestReturnAvars:
         with pytest.raises(ResourceError, match="exceeded 200000 nodes"):
             exact_return_avars(mdp, Policy.uniform(mdp), 0.5, 6)
         assert built and sum(built) <= 200_000
+
+
+# ---------------------------------------------------------------------------
+# the frontier sorts against one stable argsort each
+# ---------------------------------------------------------------------------
+
+def stable_sort(keys):
+    """One stable argsort, as every frontier sort was: the reference for ``_stable_sort``."""
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def crossing_stable(ends, p, start, alpha):
+    """``_ReturnTree._crossing`` on one stable argsort: its reference."""
+    order = np.argsort(ends, kind="stable")
+    cum = start + np.cumsum(p[order])
+    i = min(int(np.searchsorted(cum, alpha, side="left")), len(cum) - 1)
+    return float(ends[order[i]])
+
+
+@st.composite
+def frontiers(draw):
+    """Interval ends with exact ties, near ties (0.3e-12 to 2e-12 apart) and zero masses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    pool = rng.uniform(-5.0, 5.0, size=draw(st.integers(1, 8)))
+    ends = rng.choice(pool, size=n)
+    near = rng.random(n) < draw(st.floats(0.0, 1.0))
+    ends[near] += rng.uniform(0.3e-12, 2e-12, size=near.sum())
+    p = rng.uniform(1e-6, 1.0, size=n) * (rng.random(n) >= draw(st.floats(0.0, 0.5)))
+    p = p / max(p.sum(), 1.0)
+    return ends, p, draw(st.floats(0.0, 0.5)), draw(st.floats(0.01, 0.99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontiers())
+def test_frontier_sorts_equal_one_stable_argsort(frontier):
+    ends, p, start, alpha = frontier
+    order, ordered = _stable_sort(ends)
+    want_order, want_ordered = stable_sort(ends)
+    assert np.array_equal(order, want_order)
+    assert ordered.tobytes() == want_ordered.tobytes()
+    assert _ReturnTree._crossing(ends, p, start, alpha) == crossing_stable(ends, p, start, alpha)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_equals_the_all_stable_walk(seed, monkeypatch):
+    # integer rewards and a uniform policy: wide frontiers full of tied ends
+    base = random_mdp(3, 2, 0.5, seed=seed)
+    mdp = base.with_reward(np.round(base.reward))
+    pi = Policy.uniform(mdp)
+    alpha = (0.2, 0.37, 0.5, 0.8)[seed]
+    left, right = exact_return_avars(mdp, pi, alpha, 8)
+    # the reference walk: every sort one stable argsort, on int64 entry keys
+    monkeypatch.setattr(returns, "_stable_sort", stable_sort)
+    tree = _ReturnTree(mdp, pi, 8)
+    tree.key_type = np.dtype(np.int64)
+    want = np.array([tree.avars(root, alpha) for root in range(tree.child.shape[0])]).T
+    assert left.ravel().tobytes() == want[0].tobytes()
+    assert right.ravel().tobytes() == want[1].tobytes()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from diatomic_dp.dist import (
+    MERGE_TOL,
     Diatomic,
     DiscreteDist,
     avar_left,
@@ -18,6 +19,7 @@ from diatomic_dp.dist import (
     pushforward_affine,
     quantile,
     wasserstein,
+    _canonicalize,
 )
 from diatomic_dp.errors import DomainError, StructuralError
 
@@ -75,6 +77,70 @@ class TestCanonicalForm:
         vals = [-5.0, -1.0, 4.0, 8.0]
         d = DiscreteDist(vals, [0.2, 0.4, 0.2, 0.2])
         assert list(d.values) == vals
+
+
+def canonicalize_loop(values, probs):
+    """The canonical form with one Python step per atom: the reference for ``_canonicalize``."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    probs = probs[order]
+    groups = np.zeros(len(values), dtype=np.int64)
+    gid = 0
+    anchor = values[0] if len(values) else 0.0
+    for i in range(1, len(values)):
+        if values[i] - anchor > MERGE_TOL:
+            gid += 1
+            anchor = values[i]
+        groups[i] = gid
+    n_groups = gid + 1
+    merged_p = np.zeros(n_groups)
+    np.add.at(merged_p, groups, probs)
+    sizes = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(sizes, groups, 1)
+    weighted = np.zeros(n_groups)
+    np.add.at(weighted, groups, probs * values)
+    first = np.zeros(n_groups)
+    first[groups[::-1]] = values[::-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        merged_v = np.where(sizes > 1, weighted / merged_p, first)
+    keep = merged_p > 0.0
+    return merged_v[keep], merged_p[keep]
+
+
+@st.composite
+def near_tie_atoms(draw):
+    """Shuffled atoms whose sorted gaps mix near ties, exact ties and wide gaps, some massless."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    kinds = [
+        rng.uniform(0.3e-12, 2e-12, size=n),  # near ties
+        np.zeros(n),  # exact ties
+        np.full(n, MERGE_TOL),
+        rng.uniform(0.0, 3.0, size=n),
+    ]
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))) + 1e-9
+    kind = rng.choice(4, size=n, p=weights / weights.sum())
+    gaps = np.choose(kind, kinds)
+    values = rng.permutation(draw(st.floats(-20.0, 20.0)) + np.cumsum(gaps))
+    probs = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) >= draw(st.floats(0.0, 0.5)))
+    return values, probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_atoms())
+def test_canonical_form_equals_the_atom_loop(atoms):
+    got = _canonicalize(*atoms)
+    want = canonicalize_loop(*atoms)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()  # bit for bit, signs of zero included
+
+
+def test_anchor_rule_splits_a_long_near_tie_chain():
+    # gaps of 0.6e-12: the third value is more than MERGE_TOL above the
+    # anchor 0 and opens a group, which the fourth joins
+    d = DiscreteDist([0.0, 0.6e-12, 1.2e-12, 1.8e-12], [0.25] * 4)
+    assert d.n_atoms == 2
+    assert_allclose(d.values, [0.3e-12, 1.5e-12], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,35 @@ class TestJsonInterchange:
         m = mdp_from_dict(doc)
         assert m.reward[0, 0, 0] == 0.0
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"gamma": "0.5"},
+            {"gamma": None},
+            {"gamma": [0.5]},
+            {"transitions": [{"x": 0, "a": 0, "next": 0, "p": True}]},
+            {"transitions": [{"x": 0, "a": 0, "next": 0, "p": "1"}]},
+            {"rewards": [{"x": 0, "a": 0, "next": 0, "r": "2"}]},
+            {"rewards": [{"x": 0, "a": 0, "next": 0, "r": False}]},
+            {"rewards": [{"x": 0, "a": 0, "next": 0, "r": 10**400}]},
+        ],
+        ids=[
+            "gamma-text", "gamma-null", "gamma-list", "mass-bool", "mass-text",
+            "reward-text", "reward-bool", "reward-huge-integer",
+        ],
+    )
+    def test_only_json_numbers_are_read_as_numbers(self, patch):
+        doc = {
+            "gamma": 0.5,
+            "states": ["s"],
+            "actions": ["a"],
+            "transitions": [{"x": 0, "a": 0, "next": 0, "p": 1}],
+            "rewards": [{"x": 0, "a": 0, "next": 0, "r": 2}],
+        }
+        assert mdp_from_dict(doc).reward[0, 0, 0] == 2.0  # integers are numbers
+        with pytest.raises(InputError, match="JSON number|out of range"):
+            mdp_from_dict({**doc, **patch})
+
     def test_small_row_noise_renormalized(self):
         doc = {
             "gamma": 0.5,

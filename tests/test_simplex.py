@@ -1,12 +1,16 @@
 """Simplex solver against hand cases and a vertex-enumeration oracle."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diatomic_dp.errors import DomainError, ResourceError, StructuralError
-from diatomic_dp.simplex import EQ, GEQ, LEQ, LpProblem, solve
+from diatomic_dp import simplex
+from diatomic_dp.errors import DomainError, ResourceError, SolverError, StructuralError
+from diatomic_dp.simplex import EQ, GEQ, LEQ, LpProblem, _pivot, solve
 
 
 def brute_force_extremes(c, a, b):
@@ -242,3 +246,81 @@ class TestValidation:
                     b=[1.0],
                 )
             )
+
+
+# ---------------------------------------------------------------------------
+# the sparse-row pivot against the dense rank-1 update
+# ---------------------------------------------------------------------------
+
+def dense_pivot(tab, basis, row, col):
+    """The pivot as one dense rank-1 update over the whole tableau: the reference for ``_pivot``."""
+    tab[row] /= tab[row, col]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    tab -= np.outer(factor, tab[row])
+    basis[row] = col
+
+
+@st.composite
+def tableaux(draw):
+    """A tableau with a mostly-zero pivot row, and the pivot position."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, w = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    tab = rng.integers(-4, 5, size=(m + 1, w + 1)) * rng.uniform(0.5, 2.0, size=(m + 1, w + 1))
+    tab *= rng.random((m + 1, w + 1)) >= draw(st.floats(0.0, 0.95))
+    row, col = draw(st.integers(0, m - 1)), draw(st.integers(0, w - 1))
+    tab[row, col] = draw(st.sampled_from([-3.0, -0.5, 0.25, 1.0, 7.0]))
+    return tab, row, col
+
+
+@settings(max_examples=200, deadline=None)
+@given(tableaux())
+def test_pivot_equals_the_dense_update(case):
+    tab, row, col = case
+    want, want_basis = tab.copy(), np.zeros(len(tab) - 1, dtype=np.int64)
+    got_basis = want_basis.copy()
+    dense_pivot(want, want_basis, row, col)
+    _pivot(tab, got_basis, row, col)
+    # equal as numbers; where the pivot row is zero the dense update also
+    # subtracted a signed zero, which can only flip the sign of a zero
+    assert np.array_equal(tab, want)
+    assert np.array_equal(got_basis, want_basis)
+
+
+@st.composite
+def small_lps(draw):
+    """Small integer LPs of every sense and bound kind; optimal, infeasible or unbounded."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) >= draw(st.floats(0.0, 0.8)))
+    return LpProblem(
+        c=rng.integers(-3, 4, size=n),
+        a=a,
+        row_senses=[(LEQ, EQ, GEQ)[i] for i in rng.integers(0, 3, size=m)],
+        b=rng.integers(-4, 5, size=m),
+        sense=draw(st.sampled_from(["min", "max"])),
+        lower=rng.choice([0.0, -1.0, -np.inf], size=n),
+        upper=rng.choice([np.inf, np.inf, 5.0], size=n),
+    )
+
+
+def outcome(p):
+    """Status, the bytes of x and of the duals, and the objective of one solve (or its error)."""
+    try:
+        sol = solve(p)
+    except SolverError as exc:
+        return ("raised", str(exc))
+    arrays = [None if v is None else v.tobytes() for v in (sol.x, sol.dual_values)]
+    return (sol.status, *arrays, sol.objective_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps())
+@example(LpProblem(c=[1.0], a=[[1.0]], row_senses=[LEQ], b=[-1.0]))  # infeasible
+@example(LpProblem(c=[1.0], a=[[-1.0]], row_senses=[LEQ], b=[1.0]))  # unbounded
+@example(LpProblem(c=[1.0, 1.0], a=[[1.0, 2.0]], row_senses=[EQ], b=[4.0]))  # optimal
+def test_solves_equal_the_dense_pivot_solves(p):
+    got = outcome(p)
+    with mock.patch.object(simplex, "_pivot", dense_pivot):
+        want = outcome(p)
+    assert got == want

@@ -5,6 +5,12 @@ file (fig1 first) and on one four-atom distribution file, and prints one
 line per run: the argv, the exit code, and a sha256 of ``result.json``,
 ``trace.csv``, the ``risky-lp --dump-lp`` file, stdout and stderr ("-"
 for a file the run did not write).
+It then prints one line per call of the library routes the CLI does not
+reach, over the stock corpus: the route, its arguments, and a sha256 of
+the bytes of its result (``exact_return_avars`` with the uniform policy,
+the ``dbo_iterate`` table after six steps, ``bavar_vs_avar_gap`` reports
+for every deterministic policy, and ``simplex.solve`` on the three-state
+risky primals).
 Two source trees whose outputs are byte-identical print identical lines:
 
     PYTHONPATH=old/src python3 tools/artifact_digest.py /tmp/digest-old > old.txt
@@ -21,13 +27,21 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
 import shutil
 
+import numpy as np
+
 from diatomic_dp import cli, corpus
-from diatomic_dp.mdp import load_mdp
+from diatomic_dp.dbo import DistFunction, dbo_iterate
+from diatomic_dp.mdp import Policy, load_mdp
+from diatomic_dp.returns import exact_return_avars
+from diatomic_dp.risky_lp import build_risky_primal
+from diatomic_dp.robust import bavar_vs_avar_gap
+from diatomic_dp.simplex import solve
 
 FOUR_ATOMS = [
     {"value": -5, "prob": 0.2},
@@ -73,6 +87,35 @@ def read(path: pathlib.Path) -> bytes | None:
     return path.read_bytes() if path.exists() else None
 
 
+def digest_arrays(*arrays) -> str:
+    """sha256 over each array's length and float64 bytes ("-" for None)."""
+    parts = [b"-" if a is None else np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+    return digest(b"".join(len(part).to_bytes(8, "little") + part for part in parts))
+
+
+def library_lines():
+    """One line per library-route call on the stock corpus."""
+    for name, mdp in corpus.stock_corpus():
+        uniform = Policy.uniform(mdp)
+        k = 12 if mdp.n_states == 2 else 10  # the three-state trees are wider
+        for alpha in (0.2, 0.5, 0.8):
+            tails = exact_return_avars(mdp, uniform, alpha, k)
+            yield f"exact_return_avars {name} uniform {alpha=} {k=} {digest_arrays(*tails)}"
+        df = dbo_iterate(mdp, uniform, DistFunction.dirac_zero(mdp), 6)
+        atoms = [a for row in df.dists for d in row for a in (d.values, d.probs)]
+        yield f"dbo_iterate {name} uniform k=6 {digest_arrays(*atoms)}"
+        for choices in itertools.product(*mdp.action_sets):
+            label = "pi" + "".join(map(str, choices))
+            for alpha in (0.3, 0.7):
+                report = repr(bavar_vs_avar_gap(mdp, Policy.deterministic(mdp, choices), alpha, 30))
+                yield f"bavar_vs_avar_gap {name} {label} {alpha=} k=30 {digest(report.encode())}"
+        if mdp.n_states == 3:
+            for alpha in (0.25, 0.4, 0.6):
+                sol = solve(build_risky_primal(mdp, alpha))
+                arrays = digest_arrays(sol.x, [sol.objective_value], sol.dual_values)
+                yield f"solve {name} risky_primal {alpha=} {sol.status} {arrays}"
+
+
 def run_one(argv: list[str], out: str) -> str:
     pathlib.Path(DUMP).unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -104,6 +147,8 @@ def main() -> None:
     runs += [["avar", str(dist), "--alpha", alpha] for alpha in ("0.3", "0.7")]
     for i, argv in enumerate(runs):
         print(run_one(argv, f"runs/{i:04d}"), flush=True)
+    for line in library_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
