@@ -98,26 +98,31 @@ def _parse_policy(mdp: Mdp, text: str) -> Policy:
                 "or a numeric index"
             ) from None
     if text.lstrip().startswith("["):
-        try:
-            rows = np.asarray(json.loads(text), dtype=np.float64)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"inline policy is not valid JSON: {exc.msg}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"inline policy is not a numeric table: {exc}") from exc
-        return Policy(rows)
+        return Policy(_json_array(text, "inline policy"))
     raise InputError(
         f"policy {text!r} not understood; use 'uniform', 'always:<action>' "
         "or an inline JSON table"
     )
 
 
-def _parse_nu0(text: str) -> np.ndarray:
+def _json_array(text: str, what: str) -> np.ndarray:
+    """Inline JSON lists, nested to any depth, read entry by entry with ``json_number``."""
     try:
-        if text.lstrip().startswith("["):
-            return np.asarray(json.loads(text), dtype=np.float64)
-        return np.asarray([float(tok) for tok in text.split(",")], dtype=np.float64)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise InputError(f"cannot parse weights {text!r}: {exc}") from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} is not valid JSON: {exc.msg}") from exc
+    # a worklist, not recursion: the nesting depth is the user's
+    lists = [(doc, "")]
+    for node, where in lists:
+        for i, entry in enumerate(node):
+            if isinstance(entry, list):
+                lists.append((entry, f"{where}[{i}]"))
+            else:
+                node[i] = json_number(entry, f"{what} entry {where}[{i}]")
+    try:
+        return np.array(doc, dtype=np.float64)
+    except ValueError as exc:  # rows of different lengths, or too deep for an array
+        raise InputError(f"{what} is not a numeric table: {exc}") from exc
 
 
 def _params(args, **extra) -> dict:
@@ -227,9 +232,9 @@ def _cmd_dbo(args) -> int:
     return 0
 
 
-def _cmd_control(args, mode: str) -> int:
+def _cmd_control(args) -> int:
     mdp = _load_mdp(args)
-    rounds = ControlRounds(mdp, args.alpha, mode)
+    rounds = ControlRounds(mdp, args.alpha, args.command)
     run = _run_traced(
         args,
         rounds,
@@ -241,7 +246,7 @@ def _cmd_control(args, mode: str) -> int:
         args,
         {
             "params": _params(args, alpha=args.alpha),
-            "mode": mode,
+            "mode": args.command,
             "converged": run.converged,
             "iterations": res.iterations,
             "residual": res.residual,
@@ -260,7 +265,7 @@ def _cmd_control(args, mode: str) -> int:
         f"{s}:{{{','.join(mdp.actions[a] for a in group)}}}"
         for s, group in zip(mdp.states, res.action_sets)
     )
-    print(f"{mode}: {res.iterations} iterations, action sets {sets}")
+    print(f"{args.command}: {res.iterations} iterations, action sets {sets}")
     return 0
 
 
@@ -316,7 +321,14 @@ def _format_lp(problem, labels) -> str:
 
 def _cmd_risky_lp(args) -> int:
     mdp = _load_mdp(args)
-    nu0 = _parse_nu0(args.nu0) if args.nu0 else None
+    nu0 = args.nu0 or None
+    if nu0 and nu0.lstrip().startswith("["):
+        nu0 = _json_array(nu0, "weight list")
+    elif nu0:
+        try:
+            nu0 = np.array([float(tok) for tok in nu0.split(",")])
+        except ValueError as exc:
+            raise InputError(f"cannot parse weights {args.nu0!r}: {exc}") from exc
     report = duality_gap_check(mdp, args.alpha, nu0)
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
@@ -375,14 +387,31 @@ def _cmd_avar(args) -> int:
     return 0
 
 
+# One row per subcommand: name, handler, help, and the flags it reads
+# besides path, --out and --tol.
+_COMMANDS = (
+    ("eval", _cmd_eval, "classic expected-value policy evaluation",
+     ("--max-iter", "--gamma", "--policy")),
+    ("spe", _cmd_spe, "two-tail policy evaluation in rounds",
+     ("--max-iter", "--gamma", "--alpha", "--policy")),
+    ("dbo", _cmd_dbo, "unrolled return-distribution steps",
+     ("--gamma", "--alpha", "--policy", "--k")),
+    ("safe", _cmd_control, "safe sorted value iteration", ("--max-iter", "--gamma", "--alpha")),
+    ("risky", _cmd_control, "risky sorted value iteration", ("--max-iter", "--gamma", "--alpha")),
+    ("robust-verify", _cmd_robust_verify, "brute-force kernel extremes against the recursion",
+     ("--gamma", "--alpha", "--policy")),
+    ("risky-lp", _cmd_risky_lp, "primal/dual linear-programming route",
+     ("--gamma", "--alpha", "--nu0", "--dump-lp")),
+    ("avar", _cmd_avar, "tail means of a discrete distribution file", ("--alpha",)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diatomic-dp",
         description=__doc__.split("\n\n")[0],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # every subcommand takes path, --out and --tol; the others only where read
     flags = {
         "--max-iter": dict(type=int, default=DEFAULT_MAX_ITER),
         "--gamma": dict(type=float, default=None, help="discount override"),
@@ -394,56 +423,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--nu0": dict(default=None, help="initial state weights"),
         "--dump-lp": dict(default=None, help="write the primal here"),
     }
-
-    def add(name, help_text, *names):
+    for name, run, help_text, names in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         cmd.add_argument("path", help="MDP JSON file (distribution JSON for avar)")
         cmd.add_argument("--out", default=".", help="output directory for artifacts")
         cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
         for flag in names:
             cmd.add_argument(flag, **flags[flag])
-
-    add("eval", "classic expected-value policy evaluation", "--max-iter", "--gamma", "--policy")
-    add(
-        "spe",
-        "two-tail policy evaluation in rounds",
-        "--max-iter",
-        "--gamma",
-        "--alpha",
-        "--policy",
-    )
-    add("dbo", "unrolled return-distribution steps", "--gamma", "--alpha", "--policy", "--k")
-    add("safe", "safe sorted value iteration", "--max-iter", "--gamma", "--alpha")
-    add("risky", "risky sorted value iteration", "--max-iter", "--gamma", "--alpha")
-    add(
-        "robust-verify",
-        "brute-force kernel extremes against the recursion",
-        "--gamma",
-        "--alpha",
-        "--policy",
-    )
-    add(
-        "risky-lp",
-        "primal/dual linear-programming route",
-        "--gamma",
-        "--alpha",
-        "--nu0",
-        "--dump-lp",
-    )
-    add("avar", "tail means of a discrete distribution file", "--alpha")
     return parser
-
-
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "spe": _cmd_spe,
-    "dbo": _cmd_dbo,
-    "safe": lambda args: _cmd_control(args, "safe"),
-    "risky": lambda args: _cmd_control(args, "risky"),
-    "robust-verify": _cmd_robust_verify,
-    "risky-lp": _cmd_risky_lp,
-    "avar": _cmd_avar,
-}
 
 
 def _exit_code(exc: DiatomicError) -> int:
@@ -457,7 +445,7 @@ def _exit_code(exc: DiatomicError) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except DiatomicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -14,6 +14,7 @@ from .errors import (
     DomainError,
     InputError,
     PreconditionError,
+    ResourceError,
     StructuralError,
 )
 
@@ -23,6 +24,7 @@ DEFAULT_MAX_ITER = 10_000
 REFERENCE_TOL = 1e-12  # solves that later steps take as exact (Q*, reference fixed points)
 BALANCE_TOL = 1e-6  # largest Q* spread over a state's actions that still counts as balanced
 TIE_TOL = 1e-8  # actions within this of a state's best value are tied
+TABLE_CAP = 10_000_000  # most S*A*S entries a loaded document's dense tables may hold
 
 
 def _normalize_rows(rows: np.ndarray, what: str) -> np.ndarray:
@@ -364,6 +366,8 @@ def mdp_from_dict(doc: dict) -> Mdp:
     if not (isinstance(states, list) and isinstance(actions, list) and states and actions):
         raise InputError("states and actions must be non-empty JSON lists")
     s, a = len(states), len(actions)
+    if s * a * s > TABLE_CAP:  # checked before the two dense tables exist
+        raise ResourceError(f"{s * a * s} S*A*S table entries exceed the cap of {TABLE_CAP}")
     transition = np.zeros((s, a, s))
     reward = np.zeros((s, a, s))
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from .control import svi
 from .diatomic import _check_alpha
-from .errors import PreconditionError
+from . import simplex
+from .errors import PreconditionError, ResourceError
 from .mdp import Mdp, _require_balanced
-from .robust import _order_rows
+from .robust import _order_rows, _visit_orders
 from .simplex import EQ, LEQ, LpProblem, solve
 
 GAP_TOL = 1e-7
@@ -50,27 +51,30 @@ def risky_constraint_rows(mdp: Mdp, alpha: float):
     Row (x, a, sigma) bounds V1(x) by the worst-substate one-step value
     under the kernel induced by visit order sigma, with the paired
     substate value eliminated via (V*(x') - alpha V1(x')) / (1 - alpha).
-    Labels carry (x, a, sigma sequence) in row order.
+    Labels carry (x, a, sigma sequence) in row order. More rows than
+    ``simplex.ROW_CAP`` raise ResourceError before any row is built.
     """
     _check_alpha(alpha)
     _, v_star = _require_balanced(mdp)
 
     s = mdp.n_states
+    entries = [(x, a) for x in range(s) for a in mdp.action_sets[x]]
+    n_rows = len(_visit_orders(s)) * len(entries)
+    if n_rows > simplex.ROW_CAP:
+        raise ResourceError(f"{n_rows} constraint rows exceed the cap of {simplex.ROW_CAP}")
     r_rep = np.repeat(mdp.reward, 2, axis=2)
-    sequences, low, _ = _order_rows(mdp, alpha)
+    sequences, low, _ = _order_rows(mdp, alpha, entries)
     ratio = alpha / (1.0 - alpha)
     scale = mdp.gamma / (1.0 - alpha)
     blocks, rhs, labels = [], [], []
-    for x in range(s):
-        for a in mdp.action_sets[x]:
-            low_xa = low[:, x, a]
-            block = np.zeros((len(sequences), s))
-            block[:, x] += 1.0
-            block -= mdp.gamma * (low_xa[:, 0::2] - ratio * low_xa[:, 1::2])
-            blocks.append(block)
-            # one 1-D dot per row: a matrix-vector product rounds differently
-            rhs.extend(row @ r_rep[x, a] + scale * (row[1::2] @ v_star) for row in low_xa)
-            labels.extend((x, a, seq) for seq in sequences)
+    for (x, a), low_xa in zip(entries, low.swapaxes(0, 1)):
+        block = np.zeros((len(sequences), s))
+        block[:, x] += 1.0
+        block -= mdp.gamma * (low_xa[:, 0::2] - ratio * low_xa[:, 1::2])
+        blocks.append(block)
+        # one 1-D dot per row: a matrix-vector product rounds differently
+        rhs.extend(row @ r_rep[x, a] + scale * (row[1::2] @ v_star) for row in low_xa)
+        labels.extend((x, a, seq) for seq in sequences)
     return np.concatenate(blocks), np.array(rhs), tuple(labels)
 
 

@@ -146,16 +146,16 @@ def _augmented_masses(mdp: Mdp, alpha: float) -> np.ndarray:
 
 
 def _permutation_rows(masses: np.ndarray, alpha: float, seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Worst and best substate rows for every (x, a) under each visit order.
+    """Worst and best substate rows for every entry under each visit order.
 
-    masses is the (S, A, 2S) alpha-split table and seqs an (n_orders, 2S)
-    list of visit orders; the (n_orders, S, A, 2S) rows come from running
+    masses is an (..., 2S) alpha-split table and seqs an (n_orders, 2S)
+    list of visit orders; the (n_orders, ..., 2S) rows come from running
     the cumulative clamps along each order and scattering back.
     """
     # Independent oracle, so not dist's kernel (its cum - alpha clamp differs in the last bit).
     seqs = np.asarray(seqs)
-    ms = np.moveaxis(masses[:, :, seqs], 2, 0)
-    cum = np.cumsum(ms, axis=3)
+    ms = np.moveaxis(masses[..., seqs], -2, 0)
+    cum = np.cumsum(ms, axis=-1)
     before = cum - ms
     low_sorted = np.clip(np.minimum(ms, alpha - before), 0.0, None) / alpha
     high_sorted = np.clip(np.minimum(ms, cum - alpha), 0.0, None) / (1.0 - alpha)
@@ -163,19 +163,21 @@ def _permutation_rows(masses: np.ndarray, alpha: float, seqs) -> tuple[np.ndarra
     # layout keeps each row strided, and BLAS rounds risky_lp's 1-D dots by stride.
     low = np.empty_like(low_sorted)
     high = np.empty_like(high_sorted)
-    np.put_along_axis(low, seqs[:, None, None, :], low_sorted, axis=3)
-    np.put_along_axis(high, seqs[:, None, None, :], high_sorted, axis=3)
+    index = np.expand_dims(seqs, tuple(range(1, masses.ndim)))
+    np.put_along_axis(low, index, low_sorted, axis=-1)
+    np.put_along_axis(high, index, high_sorted, axis=-1)
     return low, high
 
 
-def _order_rows(mdp: Mdp, alpha: float) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Every visit order with its worst and best rows: (sequences, low, high).
+def _order_rows(mdp: Mdp, alpha: float, entries) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Every visit order with the rows of the listed (x, a) entries: (sequences, low, high).
 
-    low[i, x, a] and high[i, x, a] are the substate rows that order
-    sequences[i] induces for (x, a); both are (n_orders, S, A, 2S).
+    low[i, j] and high[i, j] are the substate rows that order sequences[i]
+    induces for entries[j]; both are (n_orders, len(entries), 2S).
     """
     sequences = _visit_orders(mdp.n_states)
-    low, high = _permutation_rows(_augmented_masses(mdp, alpha), alpha, sequences)
+    masses = _augmented_masses(mdp, alpha)[tuple(np.transpose(entries))]
+    low, high = _permutation_rows(masses, alpha, sequences)
     return sequences, low, high
 
 
@@ -356,14 +358,14 @@ def worst_best_case(
     pairs = _support_pairs(mdp, policy)
 
     # one (low, high) row pair per visit order, deduplicated per (x, a)
-    _, all_low, all_high = _order_rows(mdp, alpha)
+    _, all_low, all_high = _order_rows(mdp, alpha, pairs)
     rep_low, rep_high, rep_counts = [], [], []
-    for x, a in pairs:
-        stacked = np.concatenate([all_low[:, x, a, :], all_high[:, x, a, :]], axis=1)
+    for j in range(len(pairs)):
+        stacked = np.concatenate([all_low[:, j], all_high[:, j]], axis=1)
         _, first = np.unique(np.round(stacked, 12), axis=0, return_index=True)
         keep = np.sort(first)  # preserve enumeration order of representatives
-        rep_low.append(all_low[keep, x, a, :])
-        rep_high.append(all_high[keep, x, a, :])
+        rep_low.append(all_low[keep, j])
+        rep_high.append(all_high[keep, j])
         rep_counts.append(len(keep))
 
     n_cand = 1

@@ -332,9 +332,67 @@ class TestRiskyLp:
         assert len(solves) == 1
 
     def test_nan_weights_exit_2(self, fig1_path, tmp_path, capsys):
-        argv = ["risky-lp", fig1_path, "--nu0", "[null, 1]", "--out", str(tmp_path / "r")]
+        argv = ["risky-lp", fig1_path, "--nu0", "[NaN, 1]", "--out", str(tmp_path / "r")]
         assert main(argv) == 2
         assert "initial weights" in capsys.readouterr().err
+
+
+class TestInlineJson:
+    """Inline --policy tables and --nu0 lists follow the file rules for numbers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--policy", '[["0.5", "0.5"], [0, 1]]'],
+            ["eval", "--policy", "[[true, false], [0, 1]]"],
+            ["spe", "--policy", "[[0.5, 0.5], [null, 1]]"],
+            ["risky-lp", "--nu0", '["0.5", 0.5]'],
+            ["risky-lp", "--nu0", "[true, 0.5]"],
+            ["risky-lp", "--nu0", "[null, 1]"],
+        ],
+        ids=[
+            "policy-text", "policy-bool", "policy-null",
+            "weights-text", "weights-bool", "weights-null",
+        ],
+    )
+    def test_non_number_entry_exits_1(self, argv, fig1_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([argv[0], fig1_path, *argv[1:], "--out", str(out)]) == 1
+        assert "must be a JSON number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "--policy", "[0.5, 0.5]"], 2),
+            (["eval", "--policy", "[" * 500 + "]" * 500], 1),
+            (["risky-lp", "--nu0", "[[0.5], [0.5, 1]]"], 1),
+            (["risky-lp", "--nu0", "[[0.5], [0.5]]"], 2),
+            (["risky-lp", "--nu0", "[0.5, 0.5"], 1),
+        ],
+        ids=["policy-1d", "policy-deep", "weights-ragged", "weights-2d", "weights-bad-json"],
+    )
+    def test_shape_checks_keep_their_codes(self, argv, code, fig1_path, tmp_path):
+        # ragged and NaN policy tables: TestErrorMapping; NaN weights: TestRiskyLp
+        assert main([argv[0], fig1_path, *argv[1:], "--out", str(tmp_path / "r")]) == code
+
+    def test_json_and_comma_weights_write_the_same_result(self, fig1_path, tmp_path):
+        results = []
+        for weights in ("0.9,0.1", "[0.9, 0.1]"):
+            out = tmp_path / weights
+            assert main(["risky-lp", fig1_path, "--nu0", weights, "--out", str(out)]) == 0
+            results.append((out / "result.json").read_bytes())
+        assert results[0] == results[1]
+
+    def test_inline_table_matches_the_named_policy(self, fig1_path, tmp_path):
+        results = []
+        for policy in ("always:0", "[[1, 0], [1, 0]]"):
+            out = tmp_path / str(len(results))
+            assert main(["spe", fig1_path, "--policy", policy, "--out", str(out)]) == 0
+            result = read_result(out)
+            del result["params"]
+            results.append(result)
+        assert results[0] == results[1]
 
 
 class TestAvar:
@@ -548,6 +606,13 @@ class TestErrorMapping:
             argv = ["avar", str(path)]
         assert main([*argv, "--out", str(out)]) == code
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_budget_exits_2(self, fig1_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mdp_module, "TABLE_CAP", 7)  # fig1 needs 2 * 2 * 2 entries
+        out = tmp_path / "run"
+        assert main(["eval", fig1_path, "--out", str(out)]) == 2
+        assert "exceed the cap of 7" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path):

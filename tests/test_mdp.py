@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 
 from diatomic_dp import mdp as mdp_module
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
-from diatomic_dp.errors import ConvergenceError, DomainError, InputError, StructuralError
+from diatomic_dp.errors import (
+    ConvergenceError,
+    DomainError,
+    InputError,
+    ResourceError,
+    StructuralError,
+)
 from diatomic_dp.mdp import (
     Mdp,
     Policy,
@@ -260,6 +266,23 @@ class TestJsonInterchange:
         assert mdp_from_dict(doc).reward[0, 0, 0] == 2.0  # integers are numbers
         with pytest.raises(InputError, match="JSON number|out of range"):
             mdp_from_dict({**doc, **patch})
+
+    def test_table_budget_refuses_before_allocating(self, monkeypatch):
+        # S*A*S = 8 entries per table: one over a cap of 7, within a cap of 8
+        doc = {
+            "gamma": 0.5,
+            "states": ["s", "t"],
+            "actions": ["a", "b"],
+            "transitions": [
+                {"x": x, "a": a, "next": x, "p": 1.0} for x in range(2) for a in range(2)
+            ],
+        }
+        monkeypatch.setattr(mdp_module, "TABLE_CAP", 8)
+        assert mdp_from_dict(doc).n_states == 2
+        monkeypatch.setattr(mdp_module, "TABLE_CAP", 7)
+        monkeypatch.setattr(mdp_module.np, "zeros", None)  # nothing may be allocated
+        with pytest.raises(ResourceError, match="8 S.A.S table entries exceed the cap of 7"):
+            mdp_from_dict(doc)
 
     def test_small_row_noise_renormalized(self):
         doc = {

@@ -5,7 +5,8 @@ import pytest
 
 from diatomic_dp.control import svi
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
-from diatomic_dp.errors import PreconditionError
+from diatomic_dp import robust
+from diatomic_dp.errors import PreconditionError, ResourceError
 from diatomic_dp.mdp import Mdp
 from diatomic_dp.robust import ConstrainedPermutation, permutation_kernel
 from diatomic_dp.risky_lp import (
@@ -53,6 +54,15 @@ class TestPrimal:
         # deterministic world: the tail value is the plain value
         assert sol.x[0] == pytest.approx(6.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+
+    def test_row_budget_refuses_before_building(self, monkeypatch):
+        # 2520 visit orders x 8 admissible entries = 20,160 rows, over simplex.ROW_CAP
+        built = []
+        monkeypatch.setattr(robust, "_permutation_rows", lambda *args: built.append(args))
+        mdp = random_balanced_mdp(4, 2, gamma=0.5, seed=1)
+        with pytest.raises(ResourceError, match="20160 constraint rows"):
+            build_risky_primal(mdp, 0.5)
+        assert built == []
 
     def test_rejects_unbalanced(self):
         with pytest.raises(PreconditionError, match="not balanced"):

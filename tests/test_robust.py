@@ -73,21 +73,29 @@ class TestPermutations:
         # alpha of successor mass and the best row the rest
         mdp = random_mdp(3, 2, gamma=0.4, seed=5)
         alpha = 0.3
-        sequences, low, high = _order_rows(mdp, alpha)
-        assert low.shape == high.shape == (90, 3, 2, 6)
+        entries = [(x, a) for x in range(3) for a in range(2)]
+        sequences, low, high = _order_rows(mdp, alpha, entries)
+        assert low.shape == high.shape == (90, 6, 6)
         for i, seq in enumerate(sequences):
-            for x in range(3):
-                for a in range(2):
-                    left = alpha
-                    want_low, want_high = np.zeros(6), np.zeros(6)
-                    for s in seq:
-                        mass = mdp.transition[x, a, s // 2] * (alpha if s % 2 == 0 else 1 - alpha)
-                        take = min(mass, max(left, 0.0))
-                        left -= take
-                        want_low[s] = take / alpha
-                        want_high[s] = (mass - take) / (1 - alpha)
-                    np.testing.assert_allclose(low[i, x, a], want_low, atol=1e-12)
-                    np.testing.assert_allclose(high[i, x, a], want_high, atol=1e-12)
+            for j, (x, a) in enumerate(entries):
+                left = alpha
+                want_low, want_high = np.zeros(6), np.zeros(6)
+                for s in seq:
+                    mass = mdp.transition[x, a, s // 2] * (alpha if s % 2 == 0 else 1 - alpha)
+                    take = min(mass, max(left, 0.0))
+                    left -= take
+                    want_low[s] = take / alpha
+                    want_high[s] = (mass - take) / (1 - alpha)
+                np.testing.assert_allclose(low[i, j], want_low, atol=1e-12)
+                np.testing.assert_allclose(high[i, j], want_high, atol=1e-12)
+
+    def test_order_rows_build_only_the_listed_entries(self):
+        mdp = random_mdp(3, 2, gamma=0.4, seed=5)
+        entries = [(x, a) for x in range(3) for a in range(2)]
+        _, low, high = _order_rows(mdp, 0.3, entries)
+        _, part_low, part_high = _order_rows(mdp, 0.3, [(2, 1), (0, 0)])
+        assert np.array_equal(part_low, low[:, [5, 0]])
+        assert np.array_equal(part_high, high[:, [5, 0]])
 
     def test_sequence_roundtrip(self):
         sig = ConstrainedPermutation.from_sequence((2, 0, 3, 1))

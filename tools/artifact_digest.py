@@ -52,9 +52,15 @@ FOUR_ATOMS = [
 DUMP = "primal.lp"  # the --dump-lp target, relative to the work directory
 
 
-def ramp_weights(n: int) -> str:
-    """Initial weights proportional to 1..n, as a --nu0 argument."""
-    return ",".join(repr((i + 1) / (n * (n + 1) / 2)) for i in range(n))
+def ramp(n: int) -> list[float]:
+    """Weights proportional to 1..n."""
+    return [(i + 1) / (n * (n + 1) / 2) for i in range(n)]
+
+
+def ramp_table(n_states: int, n_actions: int) -> str:
+    """An inline JSON --policy table: state x plays ``ramp(n_actions)`` rotated by x."""
+    row = ramp(n_actions)
+    return json.dumps([row[x % n_actions:] + row[:x % n_actions] for x in range(n_states)])
 
 
 def mdp_runs(path: str):
@@ -75,8 +81,14 @@ def mdp_runs(path: str):
             yield ["robust-verify", path, "--policy", policy, "--alpha", alpha]
     yield ["risky-lp", path]
     yield ["risky-lp", path, "--dump-lp", DUMP]
-    weights = ramp_weights(load_mdp(path).n_states)
-    yield ["risky-lp", path, "--nu0", weights, "--dump-lp", DUMP]
+    mdp = load_mdp(path)
+    weights = ramp(mdp.n_states)
+    yield ["risky-lp", path, "--nu0", ",".join(map(repr, weights)), "--dump-lp", DUMP]
+    # the inline JSON forms of --policy and --nu0
+    table = ramp_table(mdp.n_states, mdp.n_actions)
+    yield ["eval", path, "--policy", table]
+    yield ["spe", path, "--policy", table, "--alpha", "0.3"]
+    yield ["risky-lp", path, "--nu0", json.dumps(weights), "--dump-lp", DUMP]
 
 
 def digest(data: bytes | None) -> str:
