@@ -7,9 +7,9 @@ commands write ``result.json`` only. Output is deterministic: identical configur
 produces byte-identical files, so diffing artifacts across runs is a
 meaningful check.
 
-Exit codes: 0 success, 1 unreadable or malformed input, 2 violated
-preconditions or exhausted resource budgets, 3 failed convergence or a
-broken mathematical property.
+Exit codes: 0 success, 1 unreadable or malformed input or an unusable
+output path, 2 violated preconditions or exhausted resource budgets, 3
+failed convergence or a broken mathematical property.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ def _json_array(text: str, what: str) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise InputError(f"{what} is JSON nested too deeply to read") from None
     # a worklist, not recursion: the nesting depth is the user's
     lists = [(doc, "")]
     for node, where in lists:
@@ -449,6 +451,9 @@ def main(argv=None) -> int:
     except DiatomicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:  # inputs are read through read_json, so this is an output path
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

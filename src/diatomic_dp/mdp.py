@@ -427,6 +427,8 @@ def read_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
 

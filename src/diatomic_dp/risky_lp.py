@@ -22,7 +22,7 @@ from .diatomic import _check_alpha
 from . import simplex
 from .errors import PreconditionError, ResourceError
 from .mdp import Mdp, _require_balanced
-from .robust import _order_rows, _visit_orders
+from .robust import _order_rows, visit_orders
 from .simplex import EQ, LEQ, LpProblem, solve
 
 GAP_TOL = 1e-7
@@ -59,11 +59,12 @@ def risky_constraint_rows(mdp: Mdp, alpha: float):
 
     s = mdp.n_states
     entries = [(x, a) for x in range(s) for a in mdp.action_sets[x]]
-    n_rows = len(_visit_orders(s)) * len(entries)
+    sequences = visit_orders(s)
+    n_rows = len(sequences) * len(entries)
     if n_rows > simplex.ROW_CAP:
         raise ResourceError(f"{n_rows} constraint rows exceed the cap of {simplex.ROW_CAP}")
     r_rep = np.repeat(mdp.reward, 2, axis=2)
-    sequences, low, _ = _order_rows(mdp, alpha, entries)
+    low, _ = _order_rows(mdp, alpha, entries)
     ratio = alpha / (1.0 - alpha)
     scale = mdp.gamma / (1.0 - alpha)
     blocks, rhs, labels = [], [], []

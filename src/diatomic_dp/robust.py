@@ -73,47 +73,11 @@ class AugmentedKernel:
         return self.probs.shape[1]
 
 
-@dataclass(frozen=True)
-class ConstrainedPermutation:
-    """Visit order of the doubled states, worst substate always first.
-
-    ranks[s] is the 1-based position of augmented state s; the constraint
-    is ranks[2x] < ranks[2x + 1] for every original x.
-    """
-
-    ranks: tuple[int, ...]
-
-    def __init__(self, ranks):
-        ranks = tuple(int(r) for r in ranks)
-        n = len(ranks)
-        if n % 2 or sorted(ranks) != list(range(1, n + 1)):
-            raise DomainError(f"ranks {ranks} are not a bijection onto 1..{n}")
-        for x in range(n // 2):
-            if ranks[2 * x] >= ranks[2 * x + 1]:
-                raise DomainError(
-                    f"state {x}: worst substate must precede best "
-                    f"(ranks {ranks[2 * x]} vs {ranks[2 * x + 1]})"
-                )
-        object.__setattr__(self, "ranks", ranks)
-
-    @staticmethod
-    def from_sequence(seq) -> "ConstrainedPermutation":
-        """Build from the list of augmented states in visit order."""
-        ranks = [0] * len(seq)
-        for pos, s in enumerate(seq):
-            ranks[s] = pos + 1
-        return ConstrainedPermutation(ranks)
-
-    @property
-    def sequence(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in np.argsort(self.ranks, kind="stable"))
-
-
 @functools.cache
-def _visit_orders(n_states: int) -> tuple[tuple[int, ...], ...]:
+def visit_orders(n_states: int) -> tuple[tuple[int, ...], ...]:
     """All visit orders keeping each worst substate before its best one.
 
-    Sequences of doubled states in lexicographic order; there are
+    Tuples of the 2S doubled states in lexicographic order; there are
     (2n)!/2^n of them, and PERMUTATION_STATE_CAP keeps that at 2520.
     """
     if n_states < 1:
@@ -128,12 +92,6 @@ def _visit_orders(n_states: int) -> tuple[tuple[int, ...], ...]:
         for seq in itertools.permutations(range(2 * n_states))
         if all(seq.index(2 * x) < seq.index(2 * x + 1) for x in range(n_states))
     )
-
-
-def enumerate_constrained_permutations(n_states: int):
-    """``_visit_orders`` as ConstrainedPermutation objects, in the same order."""
-    for seq in _visit_orders(n_states):
-        yield ConstrainedPermutation.from_sequence(seq)
 
 
 def _augmented_masses(mdp: Mdp, alpha: float) -> np.ndarray:
@@ -169,45 +127,47 @@ def _permutation_rows(masses: np.ndarray, alpha: float, seqs) -> tuple[np.ndarra
     return low, high
 
 
-def _order_rows(mdp: Mdp, alpha: float, entries) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Every visit order with the rows of the listed (x, a) entries: (sequences, low, high).
+def _order_rows(mdp: Mdp, alpha: float, entries) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the listed (x, a) entries under every visit order: (low, high).
 
-    low[i, j] and high[i, j] are the substate rows that order sequences[i]
+    low[i, j] and high[i, j] are the substate rows that visit_orders(S)[i]
     induces for entries[j]; both are (n_orders, len(entries), 2S).
     """
-    sequences = _visit_orders(mdp.n_states)
     masses = _augmented_masses(mdp, alpha)[tuple(np.transpose(entries))]
-    low, high = _permutation_rows(masses, alpha, sequences)
-    return sequences, low, high
+    return _permutation_rows(masses, alpha, visit_orders(mdp.n_states))
 
 
-def permutation_kernel(mdp: Mdp, alpha: float, sigma: ConstrainedPermutation) -> AugmentedKernel:
-    """The extreme member of the constrained family induced by one order.
+def _kernel(low: np.ndarray, high: np.ndarray) -> AugmentedKernel:
+    """Interleave (S, A, 2S) worst rows (substate 2x) and best rows (2x + 1)."""
+    probs = np.empty((2 * low.shape[0], *low.shape[1:]))
+    probs[0::2] = low
+    probs[1::2] = high
+    return AugmentedKernel(probs)
 
+
+def permutation_kernel(mdp: Mdp, alpha: float, order) -> AugmentedKernel:
+    """The extreme member of the constrained family induced by one visit order.
+
+    order lists the 2S substates, each worst substate before its best one.
     The worst substate row fills successors greedily in visit order until
     mass alpha is spent; the best substate row takes what remains.
     """
     _check_alpha(alpha)
-    if len(sigma.ranks) != 2 * mdp.n_states:
-        raise DomainError(
-            f"permutation over {len(sigma.ranks)} substates does not fit "
-            f"{mdp.n_states} states"
-        )
-    low, high = _permutation_rows(_augmented_masses(mdp, alpha), alpha, [sigma.sequence])
-    probs = np.empty((2 * mdp.n_states, mdp.n_actions, 2 * mdp.n_states))
-    probs[0::2] = low[0]
-    probs[1::2] = high[0]
-    return AugmentedKernel(probs)
+    order = tuple(int(s) for s in order)
+    if sorted(order) != list(range(2 * mdp.n_states)):
+        raise DomainError(f"order {order} is not a bijection onto 0..{2 * mdp.n_states - 1}")
+    for x in range(mdp.n_states):
+        if order.index(2 * x) > order.index(2 * x + 1):
+            raise DomainError(f"state {x}: worst substate must precede best in order {order}")
+    low, high = _permutation_rows(_augmented_masses(mdp, alpha), alpha, [order])
+    return _kernel(low[0], high[0])
 
 
 def risk_neutral_kernel(mdp: Mdp, alpha: float) -> AugmentedKernel:
     """Both substates transition exactly like the original chain."""
     _check_alpha(alpha)
     m = _augmented_masses(mdp, alpha)
-    probs = np.empty((2 * mdp.n_states, mdp.n_actions, 2 * mdp.n_states))
-    probs[0::2] = m
-    probs[1::2] = m
-    return AugmentedKernel(probs)
+    return _kernel(m, m)
 
 
 @dataclass(frozen=True)
@@ -348,17 +308,14 @@ def worst_best_case(
     """
     _check_alpha(alpha)
     check_policy(mdp, policy)
-    if mdp.n_states > PERMUTATION_STATE_CAP:
-        raise ResourceError(
-            f"{mdp.n_states} states exceed the enumeration cap of {PERMUTATION_STATE_CAP}"
-        )
+    visit_orders(mdp.n_states)  # past the state cap, refuse before the coherence solve
     _require_coherent(mdp, policy, alpha, double_q)
 
     s = mdp.n_states
     pairs = _support_pairs(mdp, policy)
 
     # one (low, high) row pair per visit order, deduplicated per (x, a)
-    _, all_low, all_high = _order_rows(mdp, alpha, pairs)
+    all_low, all_high = _order_rows(mdp, alpha, pairs)
     rep_low, rep_high, rep_counts = [], [], []
     for j in range(len(pairs)):
         stacked = np.concatenate([all_low[:, j], all_high[:, j]], axis=1)
@@ -413,12 +370,13 @@ def worst_best_case(
     winner = int(hits[0])
 
     # assemble the winning kernel; rows outside the support stay neutral
-    probs = risk_neutral_kernel(mdp, alpha).probs.copy()
     digits = np.unravel_index(winner, rep_counts)
-    for j, (x, a) in enumerate(pairs):
-        probs[2 * x, a] = rep_low[j][digits[j]]
-        probs[2 * x + 1, a] = rep_high[j][digits[j]]
-    kernel = AugmentedKernel(probs)
+    low = _augmented_masses(mdp, alpha)
+    high = low.copy()
+    support = tuple(np.transpose(pairs))
+    low[support] = [rows[d] for rows, d in zip(rep_low, digits)]
+    high[support] = [rows[d] for rows, d in zip(rep_high, digits)]
+    kernel = _kernel(low, high)
     membership = in_uncertainty_set(mdp, alpha, kernel)
     if not membership.ok:
         raise PropertyFailure(

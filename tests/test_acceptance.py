@@ -36,7 +36,6 @@ from diatomic_dp.risky_lp import (
     duality_gap_check,
 )
 from diatomic_dp.robust import (
-    ConstrainedPermutation,
     bavar_vs_avar_gap,
     coherence_axioms_check,
     permutation_kernel,
@@ -156,9 +155,7 @@ def test_criterion_06_kernel_extremes_match_recursion():
 
     fig1 = fig1_mdp()
     res = worst_best_case(fig1, Policy.always(fig1, 1), alpha)
-    star = permutation_kernel(
-        fig1, alpha, ConstrainedPermutation.from_sequence((0, 1, 2, 3))
-    )
+    star = permutation_kernel(fig1, alpha, (0, 1, 2, 3))
     risky_rows = res.kernel.probs[:, 1, :]
     assert np.array_equal(risky_rows, star.probs[:, 1, :])
     assert np.count_nonzero(risky_rows) == 8

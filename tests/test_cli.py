@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from diatomic_dp import diatomic
+from diatomic_dp import diatomic, risky_lp
 from diatomic_dp import mdp as mdp_module
 from diatomic_dp.cli import main
 from diatomic_dp.control import svi
@@ -269,6 +269,14 @@ class TestRobustVerify:
         assert main(argv) == 0
         assert len(solves) == 1
 
+    def test_unconverged_pair_exits_3(self, fig1_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mdp_module, "DEFAULT_MAX_ITER", 1)
+        out = tmp_path / "run"
+        argv = ["robust-verify", fig1_path, "--policy", "always:a2", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: value pair not converged after 1 rounds")
+        assert not out.exists()
+
     def test_incoherent_policy_exits_2(self, unbalanced_path, tmp_path):
         code = main(
             ["robust-verify", unbalanced_path, "--out", str(tmp_path / "r")]
@@ -330,6 +338,15 @@ class TestRiskyLp:
         argv = ["risky-lp", str(path), "--alpha", "0.4", "--out", str(tmp_path / "r")]
         assert main(argv) == 0
         assert len(solves) == 1
+
+    def test_failed_duality_verdict_exits_3(self, fig1_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(risky_lp, "GAP_TOL", 0.0)  # fig1's recursion deviation is ~5e-13
+        out = tmp_path / "run"
+        assert main(["risky-lp", fig1_path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: duality check failed")
+        result = read_result(out)
+        assert result["ok"] is False
+        assert result["v1"] == pytest.approx([1.5, 3.5], abs=1e-7)
 
     def test_nan_weights_exit_2(self, fig1_path, tmp_path, capsys):
         argv = ["risky-lp", fig1_path, "--nu0", "[NaN, 1]", "--out", str(tmp_path / "r")]
@@ -539,24 +556,27 @@ class TestErrorMapping:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "patch, policy",
+        "patch, argv",
         [
-            ({"gamma": "abc"}, "uniform"),
-            ({"gamma": None}, "uniform"),
-            ({"states": 5}, "uniform"),
-            ({"transitions": 5}, "uniform"),
-            ({"states": "ab"}, "uniform"),
-            ({"states": {"p": 0, "q": 1}}, "uniform"),
-            ({"states": ["s", "s"]}, "uniform"),
-            ({"actions": ["a", "a"]}, "uniform"),
-            (_first_entry("transitions", x=0.9), "uniform"),
-            (_first_entry("transitions", next=False), "uniform"),
-            ({"gamma": "0.5"}, "uniform"),
-            (_first_entry("transitions", p=True), "uniform"),
-            (_first_entry("transitions", p=None), "uniform"),
-            (_first_entry("rewards", r="2"), "uniform"),
-            ({}, '[["a", 1]]'),
-            ({}, "[[1, 0], [0]]"),
+            ({"gamma": "abc"}, ["eval"]),
+            ({"gamma": None}, ["eval"]),
+            ({"states": 5}, ["eval"]),
+            ({"transitions": 5}, ["eval"]),
+            ({"states": "ab"}, ["eval"]),
+            ({"states": {"p": 0, "q": 1}}, ["eval"]),
+            ({"states": ["s", "s"]}, ["eval"]),
+            ({"actions": ["a", "a"]}, ["eval"]),
+            (_first_entry("transitions", x=0.9), ["eval"]),
+            (_first_entry("transitions", next=False), ["eval"]),
+            ({"gamma": "0.5"}, ["eval"]),
+            (_first_entry("transitions", p=True), ["eval"]),
+            (_first_entry("transitions", p=None), ["eval"]),
+            (_first_entry("rewards", r="2"), ["eval"]),
+            ({}, ["eval", "--policy", '[["a", 1]]']),
+            ({}, ["eval", "--policy", "[[1, 0], [0]]"]),
+            ({}, ["eval", "--policy", "greedy"]),
+            ({}, ["risky-lp", "--nu0", "0.5,x"]),
+            ([{"value": 1}], ["avar"]),
         ],
         ids=[
             "gamma-text",
@@ -575,16 +595,56 @@ class TestErrorMapping:
             "reward-numeric-text",
             "policy-text",
             "policy-ragged",
+            "policy-unknown-form",
+            "nu0-comma-text",
+            "avar-missing-prob",
         ],
     )
-    def test_malformed_input_exits_1(self, patch, policy, tmp_path, capsys):
+    def test_malformed_input_exits_1(self, patch, argv, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({**mdp_to_dict(fig1_mdp()), **patch}))
+        doc = patch if isinstance(patch, list) else {**mdp_to_dict(fig1_mdp()), **patch}
+        path.write_text(json.dumps(doc))
         out = tmp_path / "run"
-        assert main(["eval", str(path), "--policy", policy, "--out", str(out)]) == 1
+        command, *flags = argv
+        assert main([command, str(path), *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{deep}"],
+            ["avar", "{deep}"],
+            ["eval", "{fig1}", "--policy", "[" * 5000 + "]" * 5000],
+            ["risky-lp", "{fig1}", "--nu0", "[" * 5000 + "]" * 5000],
+        ],
+        ids=["mdp-file", "avar-file", "policy", "nu0"],
+    )
+    def test_deeply_nested_json_exits_1(self, argv, fig1_path, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "run"
+        argv = [arg.format(deep=deep, fig1=fig1_path) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert not out.exists()
+
+    def test_existing_file_as_out_exits_1(self, fig1_path, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["eval", fig1_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == ""
+
+    def test_unwritable_dump_path_exits_1(self, fig1_path, tmp_path, capsys):
+        dump = tmp_path / "missing" / "x.lp"
+        argv = ["risky-lp", fig1_path, "--dump-lp", str(dump), "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
 
     @pytest.mark.parametrize(
         "case, code",

@@ -8,7 +8,7 @@ from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp import robust
 from diatomic_dp.errors import PreconditionError, ResourceError
 from diatomic_dp.mdp import Mdp
-from diatomic_dp.robust import ConstrainedPermutation, permutation_kernel
+from diatomic_dp.robust import permutation_kernel
 from diatomic_dp.risky_lp import (
     build_risky_dual,
     build_risky_primal,
@@ -87,7 +87,7 @@ class TestPrimal:
         mat, _, labels = risky_constraint_rows(mdp, alpha)
         assert mat.shape == (3 * 2 * 90, 3)
         for row, (x, a, seq) in zip(mat, labels):
-            kernel = permutation_kernel(mdp, alpha, ConstrainedPermutation.from_sequence(seq))
+            kernel = permutation_kernel(mdp, alpha, seq)
             low = kernel.probs[2 * x, a]
             want = np.eye(3)[x] - mdp.gamma * (low[0::2] - alpha / (1.0 - alpha) * low[1::2])
             np.testing.assert_array_equal(row, want)

@@ -16,17 +16,15 @@ from diatomic_dp.errors import (
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy
 from diatomic_dp.robust import (
     AugmentedKernel,
-    ConstrainedPermutation,
     _order_rows,
-    _visit_orders,
     augmented_policy_eval,
     bavar_vs_avar_gap,
     best_sub,
     coherence_axioms_check,
-    enumerate_constrained_permutations,
     in_uncertainty_set,
     permutation_kernel,
     risk_neutral_kernel,
+    visit_orders,
     worst_best_case,
     worst_sub,
 )
@@ -41,18 +39,16 @@ class TestPermutations:
     def test_counts_follow_the_halved_factorial(self):
         # (2n)! / 2^n for n = 1..4
         for n, want in [(1, 1), (2, 6), (3, 90), (4, 2520)]:
-            got = sum(1 for _ in enumerate_constrained_permutations(n))
-            assert got == want
+            assert len(visit_orders(n)) == want
 
     def test_every_member_keeps_worst_first(self):
-        for sig in enumerate_constrained_permutations(3):
+        for order in visit_orders(3):
             for x in range(3):
-                assert sig.ranks[worst_sub(x)] < sig.ranks[best_sub(x)]
+                assert order.index(worst_sub(x)) < order.index(best_sub(x))
 
     def test_cap_is_enforced(self):
-        gen = enumerate_constrained_permutations(5)
         with pytest.raises(ResourceError, match="cap of 4"):
-            next(gen)
+            visit_orders(5)
 
     def test_two_state_orders_are_pinned(self):
         # lexicographic order: worst_best_case keeps the first attaining
@@ -65,8 +61,7 @@ class TestPermutations:
             (2, 0, 3, 1),
             (2, 3, 0, 1),
         ]
-        assert list(_visit_orders(2)) == want
-        assert [sig.sequence for sig in enumerate_constrained_permutations(2)] == want
+        assert list(visit_orders(2)) == want
 
     def test_order_rows_match_a_greedy_fill(self):
         # reference: walk each visit order, giving the worst row the first
@@ -74,9 +69,9 @@ class TestPermutations:
         mdp = random_mdp(3, 2, gamma=0.4, seed=5)
         alpha = 0.3
         entries = [(x, a) for x in range(3) for a in range(2)]
-        sequences, low, high = _order_rows(mdp, alpha, entries)
+        low, high = _order_rows(mdp, alpha, entries)
         assert low.shape == high.shape == (90, 6, 6)
-        for i, seq in enumerate(sequences):
+        for i, seq in enumerate(visit_orders(3)):
             for j, (x, a) in enumerate(entries):
                 left = alpha
                 want_low, want_high = np.zeros(6), np.zeros(6)
@@ -92,23 +87,18 @@ class TestPermutations:
     def test_order_rows_build_only_the_listed_entries(self):
         mdp = random_mdp(3, 2, gamma=0.4, seed=5)
         entries = [(x, a) for x in range(3) for a in range(2)]
-        _, low, high = _order_rows(mdp, 0.3, entries)
-        _, part_low, part_high = _order_rows(mdp, 0.3, [(2, 1), (0, 0)])
+        low, high = _order_rows(mdp, 0.3, entries)
+        part_low, part_high = _order_rows(mdp, 0.3, [(2, 1), (0, 0)])
         assert np.array_equal(part_low, low[:, [5, 0]])
         assert np.array_equal(part_high, high[:, [5, 0]])
 
-    def test_sequence_roundtrip(self):
-        sig = ConstrainedPermutation.from_sequence((2, 0, 3, 1))
-        assert sig.sequence == (2, 0, 3, 1)
-        assert sig.ranks == (2, 4, 1, 3)
-
     def test_rejects_non_bijection(self):
         with pytest.raises(DomainError, match="bijection"):
-            ConstrainedPermutation((1, 1, 2, 3))
+            permutation_kernel(fig1_mdp(), 0.5, (0, 0, 1, 2))
 
     def test_rejects_best_before_worst(self):
         with pytest.raises(DomainError, match="precede"):
-            ConstrainedPermutation.from_sequence((1, 0, 2, 3))
+            permutation_kernel(fig1_mdp(), 0.5, (1, 0, 2, 3))
 
 
 class TestKernelValidation:
@@ -143,8 +133,8 @@ class TestUncertaintySet:
     def test_every_permutation_kernel_is_a_member(self):
         mdp = random_mdp(3, 2, gamma=0.4, seed=7)
         for alpha in (0.3, 0.5):
-            for sig in enumerate_constrained_permutations(3):
-                assert in_uncertainty_set(mdp, alpha, permutation_kernel(mdp, alpha, sig))
+            for order in visit_orders(3):
+                assert in_uncertainty_set(mdp, alpha, permutation_kernel(mdp, alpha, order))
 
     def test_marginal_violation_is_named(self):
         mdp = fig1_mdp()
@@ -174,8 +164,8 @@ class TestUncertaintySet:
         # inequality implied for best rows at the original level
         mdp = random_mdp(2, 2, gamma=0.5, seed=11)
         alpha = 0.35
-        for sig in enumerate_constrained_permutations(2):
-            probs = permutation_kernel(mdp, alpha, sig).probs
+        for order in visit_orders(2):
+            probs = permutation_kernel(mdp, alpha, order).probs
             swap = np.arange(2 * mdp.n_states).reshape(-1, 2)[:, ::-1].ravel()
             swapped = probs[swap][:, :, swap]
             assert in_uncertainty_set(mdp, 1.0 - alpha, AugmentedKernel(swapped))
@@ -184,8 +174,8 @@ class TestUncertaintySet:
         mdp = random_mdp(2, 2, gamma=0.5, seed=13)
         alpha = 0.5
         kernels = [
-            permutation_kernel(mdp, alpha, sig).probs
-            for sig in enumerate_constrained_permutations(2)
+            permutation_kernel(mdp, alpha, order).probs
+            for order in visit_orders(2)
         ]
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -202,8 +192,7 @@ class TestOptimalKernel:
         # continuation particles under always-a2 at level one half are
         # 1.25 < 1.75 < 2.25 < 2.75 in substate order, so the sorted visit
         # order is the identity
-        sig = ConstrainedPermutation.from_sequence((0, 1, 2, 3))
-        p = permutation_kernel(mdp, 0.5, sig).probs
+        p = permutation_kernel(mdp, 0.5, (0, 1, 2, 3)).probs
         a2 = 1
         for x in (0, 1):
             assert p[worst_sub(x), a2, worst_sub(0)] == 0.5
@@ -213,8 +202,7 @@ class TestOptimalKernel:
 
     def test_fig1_star_kernel_value_split(self):
         mdp = fig1_mdp()
-        sig = ConstrainedPermutation.from_sequence((0, 1, 2, 3))
-        kernel = permutation_kernel(mdp, 0.5, sig)
+        kernel = permutation_kernel(mdp, 0.5, (0, 1, 2, 3))
         v = augmented_policy_eval(mdp, Policy.always(mdp, 1), kernel)
         np.testing.assert_allclose(v, [1.5, 2.5, 3.5, 4.5], atol=1e-10)
 
@@ -245,8 +233,8 @@ class TestAugmentedEval:
         policy = Policy.uniform(mdp)
         v_plain = (policy.probs * evaluate_policy(mdp, policy).q).sum(axis=1)
         kernels = [
-            permutation_kernel(mdp, alpha, sig).probs
-            for sig in enumerate_constrained_permutations(2)
+            permutation_kernel(mdp, alpha, order).probs
+            for order in visit_orders(2)
         ]
         rng = np.random.default_rng(3)
         for _ in range(4):

@@ -9,8 +9,9 @@ It then prints one line per call of the library routes the CLI does not
 reach, over the stock corpus: the route, its arguments, and a sha256 of
 the bytes of its result (``exact_return_avars`` with the uniform policy,
 the ``dbo_iterate`` table after six steps, ``bavar_vs_avar_gap`` reports
-for every deterministic policy, and ``simplex.solve`` on the three-state
-risky primals).
+for every deterministic policy, ``simplex.solve`` on the three-state
+risky primals, and the ``risk_neutral_kernel`` followed by the
+``permutation_kernel`` of every ``visit_orders`` entry).
 Two source trees whose outputs are byte-identical print identical lines:
 
     PYTHONPATH=old/src python3 tools/artifact_digest.py /tmp/digest-old > old.txt
@@ -40,7 +41,12 @@ from diatomic_dp.dbo import DistFunction, dbo_iterate
 from diatomic_dp.mdp import Policy, load_mdp
 from diatomic_dp.returns import exact_return_avars
 from diatomic_dp.risky_lp import build_risky_primal
-from diatomic_dp.robust import bavar_vs_avar_gap
+from diatomic_dp.robust import (
+    bavar_vs_avar_gap,
+    permutation_kernel,
+    risk_neutral_kernel,
+    visit_orders,
+)
 from diatomic_dp.simplex import solve
 
 FOUR_ATOMS = [
@@ -126,6 +132,10 @@ def library_lines():
                 sol = solve(build_risky_primal(mdp, alpha))
                 arrays = digest_arrays(sol.x, [sol.objective_value], sol.dual_values)
                 yield f"solve {name} risky_primal {alpha=} {sol.status} {arrays}"
+        for alpha in (0.3, 0.7):
+            kernels = [risk_neutral_kernel(mdp, alpha)]
+            kernels += [permutation_kernel(mdp, alpha, o) for o in visit_orders(mdp.n_states)]
+            yield f"kernels {name} {alpha=} {digest_arrays(*(k.probs for k in kernels))}"
 
 
 def run_one(argv: list[str], out: str) -> str:
