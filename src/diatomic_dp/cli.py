@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
+import os
 import pathlib
 import sys
 
@@ -58,6 +60,21 @@ def _out_dir(args) -> pathlib.Path:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _check_outputs(args) -> None:
+    """Raise, before any solve, the OSError that writing an artifact would raise.
+
+    The nearest existing path at or above --out must be a directory, and
+    the directory of a --dump-lp file must exist.
+    """
+    out = pathlib.Path(args.out)
+    found = next(path for path in (out, *out.parents) if path.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(found))
+    dump = getattr(args, "dump_lp", None)
+    if dump and not pathlib.Path(dump).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), dump)
 
 
 def _write_result(args, payload: dict) -> None:
@@ -447,6 +464,7 @@ def _exit_code(exc: DiatomicError) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.run(args)
     except DiatomicError as exc:
         print(f"error: {exc}", file=sys.stderr)

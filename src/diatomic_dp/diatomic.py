@@ -14,7 +14,7 @@ from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist import left_tail_weights, right_tail_weights
+from .dist import tail_weights
 from .errors import DomainError, ResourceError
 from .mdp import DEFAULT_TOL, Mdp, Policy, check_policy, run_sweeps
 
@@ -137,24 +137,34 @@ class _Particles:
     def __init__(self, mdp: Mdp, table: _Successors, alpha: float):
         succ, mass, reward, k = table
         self.shape, self.gamma, self.alpha = (mdp.n_states, mdp.n_actions), mdp.gamma, alpha
-        self.rows = np.arange(succ.shape[0])[:, None]
+        self.levels = (alpha, 1.0 - alpha)
         self.src = np.concatenate([succ, succ + k], axis=1).astype(np.int32)
+        # each entry's first slot in the flat particle arrays
+        self.offsets = np.arange(0, self.src.size, self.src.shape[1])[:, None]
         self.reward = np.concatenate([reward, reward], axis=1)
         self.mass = np.concatenate([alpha * mass, (1.0 - alpha) * mass], axis=1)
-        self.tails = ((left_tail_weights, alpha), (right_tail_weights, 1.0 - alpha))
 
     def sweep(self, q: np.ndarray) -> np.ndarray:
         """The operator at the unknowns' pair q, as the stacked pair over all 2SA entries."""
-        vals = self.reward + self.gamma * q[self.src]
-        at = (self.rows, np.argsort(vals, axis=1, kind="stable"))
-        vals = vals[at]
-        self.src = self.src[at]
-        self.reward = self.reward[at]
-        self.mass = self.mass[at]
-        del at  # the sort order goes before the tail-weight temporaries: lower peak memory
-        return np.concatenate(
-            [(tail(self.mass, level) * vals).sum(axis=1) / level for tail, level in self.tails]
-        )
+        vals = q.take(self.src)
+        vals *= self.gamma
+        vals += self.reward
+        at = np.argsort(vals, axis=1, kind="stable")
+        at += self.offsets  # flat slots: one take per array gathers every row
+        vals = vals.take(at)
+        self.src = self.src.take(at)
+        self.reward = self.reward.take(at)
+        self.mass = self.mass.take(at)
+        del at  # the sort order goes before the tail weights: lower peak memory
+        sums = []
+        for w, level in self._tails(self.mass):
+            w *= vals  # in place, and reduced before the right weights are built
+            sums.append(w.sum(axis=1) / level)
+        return np.concatenate(sums)
+
+    def _tails(self, mass: np.ndarray):
+        """The left tail's weights on sorted ``mass`` with its level, then the right's."""
+        return zip(tail_weights(mass, *self.levels), self.levels)
 
     def solve(self, sources: np.ndarray) -> np.ndarray:
         """The fixed point of the affine map that the last sweep's order fixes.
@@ -175,8 +185,8 @@ class _Particles:
             i = np.arange(lo, lo + rows.size)
             mass, reward = self.mass[rows], self.reward[rows]
             cells = self.src[rows] + (i * n)[:, None]
-            for block, (tail, level) in enumerate(self.tails):
-                w = tail(mass, level) / level
+            for block, (w, level) in enumerate(self._tails(mass)):
+                w /= level
                 c[block * k + i] = (w * reward).sum(axis=1)
                 np.put(a, cells + block * k * n, -self.gamma * w)
         a.reshape(-1)[:: n + 1] += 1.0
@@ -184,7 +194,7 @@ class _Particles:
 
     def at(self, sources: np.ndarray) -> np.ndarray:
         """Where the pair of the entries ``sources`` sits in a stacked pair over all 2SA entries."""
-        return np.concatenate([sources, sources + self.rows.size])
+        return np.concatenate([sources, sources + self.offsets.size])
 
     def pair(self, out: np.ndarray) -> DoubleQ:
         m = out.size // 2

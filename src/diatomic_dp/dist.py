@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +30,9 @@ def _canonicalize(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np
     value by value, and only past ``MERGE_TOL`` from the value that opens
     the run.
     """
-    # stable: tied values add their masses in input order
+    # stable: tied values add their masses in input order. The atoms arrive
+    # as a few sorted runs (mixtures and dbo_apply concatenate distributions),
+    # on which numpy's stable sort is cheaper than its default one.
     order = np.argsort(values, kind="stable")
     values = values[order]
     probs = probs[order]
@@ -149,22 +152,32 @@ def pushforward_affine(d: DiscreteDist, r0: float, gamma: float) -> DiscreteDist
     return DiscreteDist(r0 + gamma * d.values, d.probs)
 
 
-def left_tail_weights(w: np.ndarray, alpha: float) -> np.ndarray:
-    """Mass of each particle inside the lowest ``alpha`` fraction.
+def _clamp(w: np.ndarray, ahead: np.ndarray, level: float) -> np.ndarray:
+    """The tail clamp: each particle's mass inside a tail of mass ``level``.
+
+    ``ahead`` is the mass the tail takes before it reaches each particle;
+    the particle gets the rest of ``level``, at most its own mass ``w``
+    and at least zero, so the one straddling the line gets a fraction.
+    Works in the memory of ``ahead``.
+    """
+    np.subtract(level, ahead, out=ahead)
+    np.minimum(w, ahead, out=ahead)
+    return np.maximum(ahead, 0.0, out=ahead)
+
+
+def tail_weights(w: np.ndarray, alpha: float, level: float) -> Iterator[np.ndarray]:
+    """Each particle's mass inside the lowest ``alpha`` fraction, then the highest ``level``.
 
     ``w`` holds particle masses sorted by ascending value along the last
-    axis; the particle straddling the alpha line contributes fractionally.
+    axis. Both tails come from one cumulative sum, and the right weights
+    are built in its memory only when asked for: a caller that reduces
+    the left weights first holds two particle-sized arrays, not three.
     """
     cum = np.cumsum(w, axis=-1)
-    return np.clip(np.minimum(w, alpha - (cum - w)), 0.0, None)
-
-
-def right_tail_weights(w: np.ndarray, level: float) -> np.ndarray:
-    """Mass of each particle inside the highest ``level`` fraction; see ``left_tail_weights``."""
-    cum = np.cumsum(w, axis=-1)
-    # (cum - 1) + level instead of cum - (1 - level): keeps the top particle's
-    # weight exact when the cumulative sum lands on 1.
-    return np.clip(np.minimum(w, (cum - 1.0) + level), 0.0, None)
+    yield _clamp(w, cum - w, alpha)
+    # level - (1 - cum) instead of cum - (1 - level): keeps the top particle's
+    # weight exact when the cumulative sum lands on 1
+    yield _clamp(w, np.subtract(1.0, cum, out=cum), level)
 
 
 def avar_left(d: DiscreteDist, alpha: float) -> float:
@@ -176,7 +189,7 @@ def avar_left(d: DiscreteDist, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"tail fraction must lie in (0, 1), got {alpha}")
-    w = left_tail_weights(d.probs, alpha)
+    w = next(tail_weights(d.probs, alpha, 1.0 - alpha))
     return float(np.dot(w, d.values) / alpha)
 
 
@@ -184,7 +197,7 @@ def avar_right(d: DiscreteDist, level: float) -> float:
     """Mean of the highest ``level`` fraction of outcomes."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"tail fraction must lie in (0, 1), got {level}")
-    w = right_tail_weights(d.probs, level)
+    _, w = tail_weights(d.probs, 1.0 - level, level)
     return float(np.dot(w, d.values) / level)
 
 

@@ -35,17 +35,20 @@ NODE_CAP = 2_000_000  # budget of return-tree nodes visited per entry
 
 
 def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sorting permutation of ``keys``, and the sorted keys.
+    """The stable sorting permutation of the 1-D ``keys``, and the sorted keys.
 
-    Without ties every sort gives the one permutation that sorts the keys,
-    so the cheaper default sort serves; tied keys need the stable sort,
-    which keeps them in frontier order and so fixes every prefix sum.
+    Tied keys keep their input order, which fixes every later prefix sum.
+    numpy's default sort, much cheaper than its stable sort of floats,
+    differs from it only inside runs of tied keys; a default sort of the
+    int64 keys tie-run index * n + position puts each run back in order.
     """
     order = keys.argsort()
     ordered = keys[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        order = keys.argsort(kind="stable")
-        ordered = keys[order]
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied))) * keys.size
+        order = np.sort(run + order) - run
+        ordered = keys[order]  # -0.0 and 0.0 tie, so re-read the signs
     return order, ordered
 
 

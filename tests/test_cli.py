@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from diatomic_dp import diatomic, risky_lp
+from diatomic_dp import cli, diatomic, risky_lp
 from diatomic_dp import mdp as mdp_module
 from diatomic_dp.cli import main
 from diatomic_dp.control import svi
@@ -28,6 +28,10 @@ from diatomic_dp.mdp import (
     state_values,
     value_iteration,
 )
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solver ran before the output paths were checked")
 
 
 @pytest.fixture()
@@ -631,20 +635,30 @@ class TestErrorMapping:
         assert err.startswith("error: ") and "nested too deeply" in err
         assert not out.exists()
 
-    def test_existing_file_as_out_exits_1(self, fig1_path, tmp_path, capsys):
+    def test_existing_file_as_out_exits_1(self, fig1_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "policy_sweeps", no_solve)
+        monkeypatch.setattr(cli, "duality_gap_check", no_solve)
         out = tmp_path / "afile"
         out.write_text("")
-        assert main(["eval", fig1_path, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        dump = tmp_path / "x.lp"
+        for argv in (["eval", fig1_path], ["risky-lp", fig1_path, "--dump-lp", str(dump)]):
+            for target in (out, out / "sub"):
+                assert main([*argv, "--out", str(target)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert str(out) in err
         assert out.read_text() == ""
+        assert not dump.exists()
 
-    def test_unwritable_dump_path_exits_1(self, fig1_path, tmp_path, capsys):
+    def test_unwritable_dump_path_exits_1(self, fig1_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "duality_gap_check", no_solve)
         dump = tmp_path / "missing" / "x.lp"
         argv = ["risky-lp", fig1_path, "--dump-lp", str(dump), "--out", str(tmp_path / "r")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
+        assert str(dump) in err
+        assert not dump.exists() and not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "case, code",

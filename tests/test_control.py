@@ -14,7 +14,6 @@ from diatomic_dp.control import (
 )
 from diatomic_dp.corpus import fig1_mdp, random_balanced_mdp, random_mdp
 from diatomic_dp.diatomic import spe
-from diatomic_dp.dist import left_tail_weights
 from diatomic_dp.errors import ConvergenceError, DomainError, PreconditionError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, _require_balanced, optimal_action_sets, run_sweeps
 
@@ -36,7 +35,9 @@ def dense_tail_q_table(mdp, v1, v2, alpha):
     order = np.argsort(vals, axis=2, kind="stable")
     v = np.take_along_axis(vals, order, axis=2)
     w = np.take_along_axis(wts, order, axis=2)
-    return (left_tail_weights(w, alpha) * v).sum(axis=2) / alpha
+    # the left tail clamp on its own cumulative sum, independent of dist.tail_weights
+    left = np.clip(np.minimum(w, alpha - (np.cumsum(w, axis=2) - w)), 0.0, None)
+    return (left * v).sum(axis=2) / alpha
 
 
 def reference_step(mdp, v1, v2, alpha, risky, v_star):

@@ -408,6 +408,30 @@ def test_frontier_sorts_equal_one_stable_argsort(frontier):
     assert _ReturnTree._crossing(ends, p, start, alpha) == crossing_stable(ends, p, start, alpha)
 
 
+@st.composite
+def sort_keys(draw):
+    """Keys in long tie runs, all equal, in -0.0/0.0 pairs, or with no ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["runs", "equal", "zeros", "distinct"]))
+    if kind == "runs":
+        return rng.choice(rng.uniform(-5.0, 5.0, size=draw(st.integers(1, 4))), size=n)
+    if kind == "equal":
+        return np.full(n, draw(st.floats(-5.0, 5.0)))
+    if kind == "zeros":
+        return rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    return rng.permutation(np.arange(n) + rng.uniform(0.0, 0.5, size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_keys())
+def test_stable_sort_equals_stable_argsort(keys):
+    order, ordered = _stable_sort(keys)
+    want = np.argsort(keys, kind="stable")
+    assert np.array_equal(order, want)
+    assert ordered.tobytes() == keys[want].tobytes()  # signs of zero included
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_walk_equals_the_all_stable_walk(seed, monkeypatch):
     # integer rewards and a uniform policy: wide frontiers full of tied ends

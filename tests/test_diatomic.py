@@ -18,11 +18,9 @@ from diatomic_dp.diatomic import (
 )
 from diatomic_dp.dist import (
     Diatomic,
-    left_tail_weights,
     mix,
     project_w2_diatomic,
     pushforward_affine,
-    right_tail_weights,
 )
 from diatomic_dp.errors import ConvergenceError, DomainError, ResourceError
 from diatomic_dp.mdp import Mdp, Policy, evaluate_policy, run_sweeps, save_mdp
@@ -86,9 +84,31 @@ def dense_apply(mdp, policy, dq):
     order = np.argsort(vals, axis=2, kind="stable")
     v = np.take_along_axis(vals, order, axis=2)
     w = np.take_along_axis(wts, order, axis=2)
-    q1 = (left_tail_weights(w, alpha) * v).sum(axis=2) / alpha
-    q2 = (right_tail_weights(w, 1.0 - alpha) * v).sum(axis=2) / (1.0 - alpha)
+    left, right = clip_tail_weights(w, alpha, 1.0 - alpha)
+    q1 = (left * v).sum(axis=2) / alpha
+    q2 = (right * v).sum(axis=2) / (1.0 - alpha)
     return DoubleQ(q1, q2, alpha)
+
+
+def clip_tail_weights(w, alpha, level):
+    """The tail clamps as np.clip passes, each on its own cumulative sum:
+    the reference for ``dist.tail_weights``."""
+    cum = np.cumsum(w, axis=-1)
+    yield np.clip(np.minimum(w, alpha - (cum - w)), 0.0, None)
+    cum = np.cumsum(w, axis=-1)
+    yield np.clip(np.minimum(w, (cum - 1.0) + level), 0.0, None)
+
+
+def fancy_index_sweep(cloud, q):
+    """``_Particles.sweep`` gathering each sorted row with (rows, order) fancy
+    indexing and clamping with ``clip_tail_weights``: its reference."""
+    vals = cloud.reward + cloud.gamma * q[cloud.src]
+    at = (np.arange(vals.shape[0])[:, None], np.argsort(vals, axis=1, kind="stable"))
+    vals = vals[at]
+    cloud.src, cloud.reward, cloud.mass = cloud.src[at], cloud.reward[at], cloud.mass[at]
+    levels = (cloud.alpha, 1.0 - cloud.alpha)
+    tails = clip_tail_weights(cloud.mass, *levels)
+    return np.concatenate([(w * vals).sum(axis=1) / level for w, level in zip(tails, levels)])
 
 
 def value_iteration_pair(mdp, policy, alpha, tol):
@@ -126,6 +146,17 @@ def tied_instance(seed, gamma=0.9):
     transition = np.full((n_states, n_actions, n_states), 1.0 / n_states)
     reward = rng.integers(0, 3, size=transition.shape).astype(float)
     return Mdp(transition=transition, reward=reward, gamma=gamma)
+
+
+def layout_instance(layout):
+    """A 12-state dense, a 12-state sparse or a tied instance, with a mixed policy."""
+    if layout == "dense":
+        mdp = random_mdp(12, 3, 0.9, seed=11)
+        return mdp, Policy.uniform(mdp)
+    if layout == "sparse":
+        return sparse_instance(11, n_states=12, n_actions=3)
+    mdp = tied_instance(11)
+    return mdp, Policy.uniform(mdp)
 
 
 def random_pair(rng, shape, alpha):
@@ -414,6 +445,35 @@ class TestParticles:
                 want = dense_apply(mdp, policy, dq)
                 assert_allclose(got.q1, want.q1, rtol=0, atol=1e-12)
                 assert_allclose(got.q2, want.q2, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse", "ties"])
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_sweep_equals_fancy_index_sweep(self, layout, start):
+        mdp, policy = layout_instance(layout)
+        got_cloud, sources = diatomic._played(mdp, policy, 0.35)
+        want_cloud, _ = diatomic._played(mdp, policy, 0.35)
+        rng = np.random.default_rng(11)
+        q = np.zeros(2 * sources.size)
+        if start == "random":
+            q = rng.uniform(-3.0, 3.0, size=q.size)
+        for _ in range(4):  # the first sweep sorts from the table order, the rest nearly sorted rows
+            got, want = got_cloud.sweep(q), fancy_index_sweep(want_cloud, q)
+            assert got.tobytes() == want.tobytes()
+            for name in ("src", "reward", "mass"):
+                assert getattr(got_cloud, name).tobytes() == getattr(want_cloud, name).tobytes()
+            q = got[got_cloud.at(sources)] + rng.uniform(0.0, 1e-3, size=q.size)
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse", "ties"])
+    def test_rounds_equal_reference_kernels(self, layout, monkeypatch):
+        mdp, policy = layout_instance(layout)
+        got, got_history = traced_rounds(mdp, policy, 0.35, 1e-12)
+        # every sweep and every solve's row fill on the reference kernels
+        monkeypatch.setattr(diatomic._Particles, "sweep", fancy_index_sweep)
+        monkeypatch.setattr(diatomic, "tail_weights", clip_tail_weights)
+        want, want_history = traced_rounds(mdp, policy, 0.35, 1e-12)
+        assert got_history == want_history
+        assert got.value.q1.tobytes() == want.value.q1.tobytes()
+        assert got.value.q2.tobytes() == want.value.q2.tobytes()
 
     def test_cap_raises_before_allocating(self, fig1, monkeypatch, tmp_path, capsys):
         def no_table(*args):

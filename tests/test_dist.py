@@ -296,6 +296,22 @@ def test_tail_mean_properties(atoms, alpha):
     assert_allclose(dual_value, left, atol=1e-11)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.98))
+def test_tail_means_equal_clip_clamps(seed, alpha):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    raw = rng.choice([0.1, 0.25, 0.5, 1.0], size=n) * rng.integers(1, 4, size=n)
+    d = DiscreteDist(rng.uniform(-5.0, 5.0, size=n), raw / raw.sum())
+    cum = np.cumsum(d.probs)
+    # the np.clip clamps, each on its own cumulative sum: the reference kernels
+    left = np.clip(np.minimum(d.probs, alpha - (cum - d.probs)), 0.0, None)
+    right = np.clip(np.minimum(d.probs, (cum - 1.0) + (1.0 - alpha)), 0.0, None)
+    assert avar_left(d, alpha) == float(np.dot(left, d.values) / alpha)
+    level = 1.0 - alpha
+    assert avar_right(d, level) == float(np.dot(right, d.values) / level)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_left_tail_monotone_in_level(seed):

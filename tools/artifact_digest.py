@@ -10,8 +10,10 @@ reach, over the stock corpus: the route, its arguments, and a sha256 of
 the bytes of its result (``exact_return_avars`` with the uniform policy,
 the ``dbo_iterate`` table after six steps, ``bavar_vs_avar_gap`` reports
 for every deterministic policy, ``simplex.solve`` on the three-state
-risky primals, and the ``risk_neutral_kernel`` followed by the
-``permutation_kernel`` of every ``visit_orders`` entry).
+risky primals, the ``risk_neutral_kernel`` followed by the
+``permutation_kernel`` of every ``visit_orders`` entry, and the
+``optimality_certificate`` reports in both modes, whose ``spe`` solve of
+every deterministic policy decides their floats).
 Two source trees whose outputs are byte-identical print identical lines:
 
     PYTHONPATH=old/src python3 tools/artifact_digest.py /tmp/digest-old > old.txt
@@ -37,6 +39,7 @@ import shutil
 import numpy as np
 
 from diatomic_dp import cli, corpus
+from diatomic_dp.control import optimality_certificate
 from diatomic_dp.dbo import DistFunction, dbo_iterate
 from diatomic_dp.mdp import Policy, load_mdp
 from diatomic_dp.returns import exact_return_avars
@@ -136,6 +139,10 @@ def library_lines():
             kernels = [risk_neutral_kernel(mdp, alpha)]
             kernels += [permutation_kernel(mdp, alpha, o) for o in visit_orders(mdp.n_states)]
             yield f"kernels {name} {alpha=} {digest_arrays(*(k.probs for k in kernels))}"
+        for mode in ("safe", "risky"):
+            for alpha in (0.3, 0.7):
+                report = repr(optimality_certificate(mdp, alpha, mode))
+                yield f"optimality_certificate {name} {mode} {alpha=} {digest(report.encode())}"
 
 
 def run_one(argv: list[str], out: str) -> str:
