@@ -52,8 +52,45 @@ from .mdp import (
 from .risky_lp import duality_gap_check
 from .robust import worst_best_case
 
-# numpy arrays and non-float scalars become plain lists and numbers
-_JSON_FORMAT = dict(indent=2, sort_keys=True, default=lambda o: o.tolist())
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` with numpy values as plain lists.
+
+    numpy arrays and non-float scalars are written as their ``tolist()``.
+    A finite 1-D float64 array is written in bulk, one ``float.__repr__``
+    per line as ``json`` writes each float; every other value, NaN and
+    infinities included, goes through ``json`` itself. Dictionary keys are
+    strings, as in every payload here.
+    """
+    parts = []
+
+    def put(o, indent: str) -> None:  # indent: the newline and spaces of o's level
+        inner = indent + "  "
+        if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.size:
+            if o.ndim > 1:
+                put(list(o), indent)  # rows are 1-D arrays
+                return
+            if o.ndim == 1 and np.isfinite(o).all():
+                parts.append("[" + inner + ("," + inner).join(map(float.__repr__, o.tolist())))
+                parts.append(indent + "]")
+                return
+        if isinstance(o, dict) and o:
+            for i, key in enumerate(sorted(o)):
+                parts.append(("," if i else "{") + inner + json.dumps(key) + ": ")
+                put(o[key], inner)
+            parts.append(indent + "}")
+        elif isinstance(o, (list, tuple)) and o:
+            for i, item in enumerate(o):
+                parts.append(("," if i else "[") + inner)
+                put(item, inner)
+            parts.append(indent + "]")
+        elif isinstance(o, (np.ndarray, np.generic)) and not isinstance(o, float):
+            put(o.tolist(), indent)
+        else:
+            parts.append(json.dumps(o))
+
+    put(payload, "\n")
+    return "".join(parts)
 
 
 def _out_dir(args) -> pathlib.Path:
@@ -79,8 +116,7 @@ def _check_outputs(args) -> None:
 
 def _write_result(args, payload: dict) -> None:
     with open(_out_dir(args) / "result.json", "w") as fh:
-        json.dump(payload, fh, **_JSON_FORMAT)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _write_trace(args, header, rows) -> None:
@@ -314,7 +350,7 @@ def _cmd_robust_verify(args) -> int:
         "kernel": res.kernel.probs,
     }
     _write_result(args, payload)
-    print(json.dumps(payload, **_JSON_FORMAT))
+    print(_json_text(payload))
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diatomic
-from .diatomic import CHECK_SPE_TOL, _check_alpha, _Particles, _rounds, _successors, spe
+from .diatomic import CHECK_SPE_TOL, _check_alpha, _Particles, _rounds, _successors, spe_stack
 from .errors import DomainError, ResourceError
 from .mdp import (
     DEFAULT_TOL,
@@ -122,7 +122,7 @@ class ControlRounds:
 
     def __iter__(self):
         start = np.concatenate([np.zeros(self.mdp.n_states), self.v_star / (1.0 - self.alpha)])
-        return _rounds(self.table(), start, self.pick, self.step)
+        return _rounds(self.table(), start, self.pick, lambda r: self.step(r.out, r.picked), 0.0)
 
     def result(self, run: SweepRun) -> ControlResult:
         """The control solution at the last round of ``run``.
@@ -184,11 +184,11 @@ class CertificateReport:
 def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> CertificateReport:
     """Verify a control solution by evaluating every deterministic policy.
 
-    Every deterministic admissible policy gets a full two-sided evaluation;
-    its own left value at each state must not beat the claimed optimum
-    (exceed it for safe, undercut it for risky) by more than
-    ``diatomic.CHECK_TOL``. More than ``ENUMERATION_CAP`` policies raise
-    ResourceError before any solve.
+    Every deterministic admissible policy gets a full two-sided evaluation,
+    all of them in one ``spe_stack``; its own left value at each state must
+    not beat the claimed optimum (exceed it for safe, undercut it for risky)
+    by more than ``diatomic.CHECK_TOL``. More than ``ENUMERATION_CAP``
+    policies raise ResourceError before any solve.
     """
     total = math.prod(len(group) for group in mdp.action_sets)
     if total > ENUMERATION_CAP:
@@ -200,13 +200,12 @@ def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> Certif
     # the greedy policy is among the candidates: group[0] of each action set
     greedy = tuple(group[0] for group in result.action_sets)
     candidates = list(itertools.product(*mdp.action_sets))
+    problems = [(mdp, Policy.deterministic(mdp, choices)) for choices in candidates]
     worst = -np.inf
     witness = None
     attained = np.inf
-    for choices in candidates:
-        pi = Policy.deterministic(mdp, choices)
-        dq = spe(mdp, pi, alpha, tol=CHECK_SPE_TOL).double_q
-        own = dq.q1[np.arange(mdp.n_states), list(choices)]
+    for choices, sol in zip(candidates, spe_stack(problems, alpha, CHECK_SPE_TOL)):
+        own = sol.double_q.q1[np.arange(mdp.n_states), list(choices)]
         violation = float((result.v1 - own).max() if risky else (own - result.v1).max())
         if violation > worst:
             worst = violation

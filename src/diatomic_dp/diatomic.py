@@ -9,8 +9,9 @@ atom lists are ever materialized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,13 +90,15 @@ class _Successors(NamedTuple):
     onto, in index order, then pads to the widest row with zero-mass
     unknowns, so no unknown appears twice in a row. ``mass`` holds each
     listed unknown's mass and ``reward`` the step reward r(x, a, y) onto
-    its state y.
+    its state y. A table of ``problems`` stacked problems (``_stack``)
+    holds problem b's rows after those of problems 0..b-1.
     """
 
     succ: np.ndarray
     mass: np.ndarray
     reward: np.ndarray
     k: int
+    problems: int
 
 
 def _successors(mdp: Mdp, link: np.ndarray, states: np.ndarray) -> _Successors:
@@ -106,7 +109,28 @@ def _successors(mdp: Mdp, link: np.ndarray, states: np.ndarray) -> _Successors:
     succ = np.argsort(link == 0.0, axis=1, kind="stable")[:, :width]
     mass = np.take_along_axis(link, succ, axis=1)
     reward = np.take_along_axis(mdp.reward.reshape(m, -1), states[succ], axis=1)
-    return _Successors(succ, mass, reward, k)
+    return _Successors(succ, mass, reward, k, 1)
+
+
+def _stack(tables: Sequence[_Successors]) -> _Successors:
+    """One table for problems that share k and the successor width.
+
+    Problem b's unknowns are offset by b * 2k, so each problem's stacked
+    pair (q1, q2) is one contiguous block of the stack's pair, and no row
+    reaches into another problem. A lone table is its own stack, uncopied.
+    """
+    if len(tables) == 1:
+        return tables[0]
+    k, width = tables[0].k, tables[0].succ.shape[1]
+    if any(t.k != k or t.succ.shape[1] != width for t in tables):
+        raise DomainError("stacked problems must share their unknown count and successor width")
+    return _Successors(
+        np.concatenate([t.succ + 2 * k * b for b, t in enumerate(tables)]),
+        np.concatenate([t.mass for t in tables]),
+        np.concatenate([t.reward for t in tables]),
+        k,
+        len(tables),
+    )
 
 
 def _played_table(mdp: Mdp, policy: Policy) -> tuple[_Successors, np.ndarray]:
@@ -116,10 +140,10 @@ def _played_table(mdp: Mdp, policy: Policy) -> tuple[_Successors, np.ndarray]:
     (y, b), so its row lists its successor entries in (y, b) order.
     """
     _check_size(mdp)
-    m = mdp.n_states * mdp.n_actions
     sources = np.flatnonzero(policy.probs.ravel() > 0.0)
-    link = (mdp.transition[:, :, :, None] * policy.probs[None, None, :, :]).reshape(m, m)
-    return _successors(mdp, link[:, sources], sources // mdp.n_actions), sources
+    states = sources // mdp.n_actions
+    link = mdp.transition.reshape(-1, mdp.n_states)[:, states] * policy.probs.ravel()[sources]
+    return _successors(mdp, link, states), sources
 
 
 class _Particles:
@@ -127,15 +151,16 @@ class _Particles:
 
     A pair is carried as the stacked vector q = (q1, q2) over the unknowns:
     ``spe``'s unknowns are the entries its policy plays (``_played_table``),
-    ``svi``'s are the states (link P). Each successor gives two particles:
-    mass alpha * mass at r + gamma * q1 and the complementary mass at the
-    q2 value. Every sweep leaves each entry's particles in the order it
-    sorted them, so the next sort starts nearly sorted and ``solve`` reads
-    the order from the table.
+    ``svi``'s are the states (link P). A stack of problems carries one such
+    block per problem, one after the other. Each successor gives two
+    particles: mass alpha * mass at r + gamma * q1 and the complementary
+    mass at the q2 value. Every sweep leaves each entry's particles in the
+    order it sorted them, so the next sort starts nearly sorted and
+    ``solve`` reads the order from the table.
     """
 
     def __init__(self, mdp: Mdp, table: _Successors, alpha: float):
-        succ, mass, reward, k = table
+        succ, mass, reward, k, self.problems = table
         self.shape, self.gamma, self.alpha = (mdp.n_states, mdp.n_actions), mdp.gamma, alpha
         self.levels = (alpha, 1.0 - alpha)
         self.src = np.concatenate([succ, succ + k], axis=1).astype(np.int32)
@@ -145,7 +170,7 @@ class _Particles:
         self.mass = np.concatenate([alpha * mass, (1.0 - alpha) * mass], axis=1)
 
     def sweep(self, q: np.ndarray) -> np.ndarray:
-        """The operator at the unknowns' pair q, as the stacked pair over all 2SA entries."""
+        """The operator at the unknowns' pair q: every row's left tail mean, then every right."""
         vals = q.take(self.src)
         vals *= self.gamma
         vals += self.reward
@@ -170,41 +195,51 @@ class _Particles:
         """The fixed point of the affine map that the last sweep's order fixes.
 
         ``sources[j]`` is the entry whose cloud gives unknown j. With every
-        entry's order frozen, the map on the unknowns' pair is
-        q -> c + gamma M q with M row-stochastic; this solves (I - gamma M) q = c.
-        The rows are filled in chunks of about _CHUNK particles, so the
-        temporaries stay small beside the matrix.
+        entry's order frozen, the map on a problem's pair is
+        q -> c + gamma M q with M row-stochastic; this solves each problem's
+        (I - gamma M) q = c, all in one batched solve. The rows are filled
+        in chunks of about _CHUNK particles, so the temporaries stay small
+        beside the matrices.
         """
-        k = sources.size
+        k = sources.size // self.problems
         n = 2 * k
-        a = np.zeros((n, n))
-        c = np.empty(n)
+        a = np.zeros((self.problems, n, n))
+        c = np.empty(self.problems * n)
         step = max(1, _CHUNK // self.src.shape[1])
-        for lo in range(0, k, step):
+        for lo in range(0, sources.size, step):
             rows = sources[lo : lo + step]
-            i = np.arange(lo, lo + rows.size)
+            b, i = np.divmod(np.arange(lo, lo + rows.size), k)
+            at = b * n + i  # the unknown's q1 slot in the stacked pair
             mass, reward = self.mass[rows], self.reward[rows]
-            cells = self.src[rows] + (i * n)[:, None]
+            # problem b's matrix starts at b * n * n, and its columns at pair slot b * n
+            cells = self.src[rows] + ((at - b) * n)[:, None]
             for block, (w, level) in enumerate(self._tails(mass)):
                 w /= level
-                c[block * k + i] = (w * reward).sum(axis=1)
+                c[block * k + at] = (w * reward).sum(axis=1)
                 np.put(a, cells + block * k * n, -self.gamma * w)
-        a.reshape(-1)[:: n + 1] += 1.0
-        return np.linalg.solve(a, c)
+        a.reshape(self.problems, -1)[:, :: n + 1] += 1.0
+        return np.linalg.solve(a, c.reshape(self.problems, n, 1)).reshape(-1)
 
     def at(self, sources: np.ndarray) -> np.ndarray:
-        """Where the pair of the entries ``sources`` sits in a stacked pair over all 2SA entries."""
-        return np.concatenate([sources, sources + self.offsets.size])
+        """Where the pair of the entries ``sources`` sits in a sweep's output, by problem."""
+        sources = sources.reshape(self.problems, -1)
+        return np.concatenate([sources, sources + self.offsets.size], axis=1).reshape(-1)
 
     def pair(self, out: np.ndarray) -> DoubleQ:
         m = out.size // 2
         return DoubleQ(out[:m].reshape(self.shape), out[m:].reshape(self.shape), self.alpha)
 
 
-def _played(mdp: Mdp, policy: Policy, alpha: float) -> tuple[_Particles, np.ndarray]:
-    """``spe``'s particles on ``_played_table``, with the entries the policy plays."""
-    table, sources = _played_table(mdp, policy)
-    return _Particles(mdp, table, alpha), sources
+def _played(problems: Sequence[tuple[Mdp, Policy]], alpha: float) -> tuple[_Particles, np.ndarray]:
+    """``spe``'s particles on the stacked ``_played_table`` of the problems, with their entries.
+
+    Problem b's played entries are offset by b * S * A. The tables die on
+    return, so the rounds hold only the particles.
+    """
+    tables = [_played_table(*problem) for problem in problems]
+    m = tables[0][0].succ.shape[0]
+    sources = np.concatenate([played + b * m for b, (_, played) in enumerate(tables)])
+    return _Particles(problems[0][0], _stack([table for table, _ in tables]), alpha), sources
 
 
 def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
@@ -216,7 +251,7 @@ def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
     The new pair is the left/right tail mean of that particle cloud.
     """
     check_policy(mdp, policy)
-    cloud, sources = _played(mdp, policy, dq.alpha)
+    cloud, sources = _played([(mdp, policy)], dq.alpha)
     stacked = np.concatenate([dq.q1.ravel(), dq.q2.ravel()])
     return cloud.pair(cloud.sweep(stacked[cloud.at(sources)]))
 
@@ -230,31 +265,72 @@ class SpeSolve:
     iterations: int
 
 
-def _rounds(cloud: _Particles, start, pick, value) -> Iterator[tuple[Any, float]]:
-    """Rounds of order iteration on ``cloud``, from the unknowns' pair ``start``.
+class _Round(NamedTuple):
+    """A round of a stack as ``_rounds`` shows it.
+
+    ``out`` is the certificate sweep's output and ``picked`` the entry
+    behind each unknown; ``residual`` and ``rounds`` hold each problem's
+    change and round. A problem that has stopped shows its stopping round.
+    """
+
+    out: np.ndarray
+    picked: np.ndarray
+    residual: np.ndarray
+    rounds: np.ndarray
+
+
+def _hold(held: _Round, current: _Round, stopped: np.ndarray) -> _Round:
+    """``current`` with the ``stopped`` problems' parts taken from ``held``."""
+    b = stopped.size
+    return _Round(
+        np.where(np.tile(stopped.repeat(held.out.size // (2 * b)), 2), held.out, current.out),
+        np.where(stopped.repeat(held.picked.size // b), held.picked, current.picked),
+        np.where(stopped, held.residual, current.residual),
+        np.where(stopped, held.rounds, current.rounds),
+    )
+
+
+def _rounds(
+    cloud: _Particles, start, pick, value: Callable[[_Round], Any], tol: float
+) -> Iterator[tuple[Any, float]]:
+    """Rounds of order iteration on ``cloud``'s stack, from the unknowns' pair ``start``.
 
     A round freezes every entry's particle order and the entry behind each
     unknown (``pick(out)`` names those at a sweep's output ``out``), solves
-    the affine map they fix, and sweeps once there as the certificate: it
-    yields ``value(out, picked)`` and the sup-norm change of the unknowns'
-    pair. If that is above gamma times the previous round's change, the
-    round takes a plain sweep from the previous round's pair instead.
+    the affine maps they fix, and sweeps once there as the certificate. A
+    problem whose change of its unknowns' pair is above gamma times its
+    previous round's change re-sweeps from its previous round's pair (a
+    plain sweep); the others re-sweep at their candidate, which leaves
+    their orders and outputs as they were. A problem stops at its first
+    round with a change of at most ``tol``, and later rounds show it as it
+    was there. Each round yields ``value`` of what it shows and the largest
+    change shown, so ``run_sweeps`` at ``tol`` ends the stack when its last
+    problem stops, and every problem ends as its own run would. A stack of
+    one needs no stop of its own and passes tol 0.
     """
+    n = start.size // cloud.problems  # each problem's stacked pair
 
     def certify(point):
         out = cloud.sweep(point)
         picked = pick(out)
         new = out[cloud.at(picked)]
-        return out, picked, new, float(np.abs(new - point).max())
+        return out, picked, new, np.abs(new - point).reshape(-1, n).max(axis=1)
 
     out, picked, new, residual = certify(start)
-    while True:
+    stopped = np.zeros(cloud.problems, dtype=bool)
+    for it in itertools.count(1):
         last = new
-        out, picked, new, new_residual = certify(cloud.solve(picked))
-        if not new_residual <= cloud.gamma * residual:  # also catches a NaN candidate
-            out, picked, new, new_residual = certify(last)
+        point = cloud.solve(picked)
+        out, picked, new, new_residual = certify(point)
+        failed = ~stopped & ~(new_residual <= cloud.gamma * residual)  # also catches NaN
+        if failed.any():
+            out, picked, new, new_residual = certify(np.where(failed.repeat(n), last, point))
         residual = new_residual
-        yield value(out, picked), residual
+        shown = _Round(out, picked, residual, np.full(cloud.problems, it))
+        if stopped.any():
+            shown = _hold(held, shown, stopped)
+        held, stopped = shown, shown.residual <= tol
+        yield value(shown), float(shown.residual.max())
 
 
 def pair_rounds(mdp: Mdp, policy: Policy, alpha: float) -> Iterator[tuple[DoubleQ, float]]:
@@ -266,10 +342,44 @@ def pair_rounds(mdp: Mdp, policy: Policy, alpha: float) -> Iterator[tuple[Double
     """
     check_policy(mdp, policy)
     _check_alpha(alpha)
-    cloud, sources = _played(mdp, policy, alpha)
+    cloud, sources = _played([(mdp, policy)], alpha)
     return _rounds(
-        cloud, np.zeros(2 * sources.size), lambda out: sources, lambda out, _: cloud.pair(out)
+        cloud, np.zeros(2 * sources.size), lambda out: sources, lambda r: cloud.pair(r.out), 0.0
     )
+
+
+def spe_stack(problems: Sequence[tuple[Mdp, Policy]], alpha: float, tol: float) -> list[SpeSolve]:
+    """``spe`` of every (mdp, policy) problem, solved in stacks on one particle table.
+
+    The problems share the discount, the table shape, the number of played
+    entries and the successor width, as the deterministic policies of one
+    MDP do, or one policy on reward tables over one kernel. Each problem
+    stops at the round its own ``spe`` would and returns that run's output
+    bit for bit. A stack holds as many problems as keep its dense particle
+    count, 2(SA)^2 per problem, within ``PARTICLE_CAP`` (at least one);
+    ConvergenceError if a problem exhausts ``mdp.DEFAULT_MAX_ITER`` rounds.
+    """
+    for mdp, policy in problems:
+        check_policy(mdp, policy)
+    _check_alpha(alpha)
+    if not problems:
+        return []
+    mdp = problems[0][0]
+    if any(m.gamma != mdp.gamma or m.transition.shape != mdp.transition.shape for m, _ in problems):
+        raise DomainError("stacked problems must share the discount and the table shape")
+    solves = []
+    chunk = max(1, PARTICLE_CAP // (2 * (mdp.n_states * mdp.n_actions) ** 2))
+    for lo in range(0, len(problems), chunk):
+        cloud, sources = _played(problems[lo : lo + chunk], alpha)
+        start = np.zeros(2 * sources.size)
+        rounds = _rounds(cloud, start, lambda out: sources, lambda r: r, tol)
+        last = run_sweeps(rounds, tol).require_converged("value pair", "rounds").value
+        q1, q2 = last.out.reshape(2, cloud.problems, *cloud.shape)
+        solves += [
+            SpeSolve(DoubleQ(q1[b], q2[b], alpha), float(last.residual[b]), int(last.rounds[b]))
+            for b in range(cloud.problems)
+        ]
+    return solves
 
 
 def spe(mdp: Mdp, policy: Policy, alpha: float, tol: float = DEFAULT_TOL) -> SpeSolve:
@@ -280,10 +390,10 @@ def spe(mdp: Mdp, policy: Policy, alpha: float, tol: float = DEFAULT_TOL) -> Spe
     round's certificate sweep on the entries the policy plays (the others
     are read off those in the sweep), and the returned pair is that
     sweep's output, within gamma * residual / (1 - gamma) of the fixed
-    point everywhere; at most ``mdp.DEFAULT_MAX_ITER`` rounds run.
+    point everywhere; at most ``mdp.DEFAULT_MAX_ITER`` rounds run. This is
+    ``spe_stack`` of one problem.
     """
-    run = run_sweeps(pair_rounds(mdp, policy, alpha), tol).require_converged("value pair", "rounds")
-    return SpeSolve(run.value, run.residual, run.iterations)
+    return spe_stack([(mdp, policy)], alpha, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,31 @@ def json_number(value: Any, what: str) -> float:
         raise InputError(f"{what} is out of range ({exc})") from exc
 
 
+def _entry_columns(entries: list, value_key: str, shape: tuple) -> list | None:
+    """The (x, a, next, value) columns of the non-empty ``entries``, read column by column.
+
+    None unless every entry has int indices inside ``shape`` and an int or
+    float value within the float range; the per-entry reader then names the
+    first entry that is wrong.
+    """
+    try:
+        columns = list(zip(*[(e["x"], e["a"], e["next"], e[value_key]) for e in entries]))
+    except (KeyError, TypeError):
+        return None
+    if not all({int}.issuperset(map(type, c)) for c in columns[:3]):  # bool is an int subclass
+        return None
+    if not {int, float}.issuperset(map(type, columns[3])):
+        return None
+    try:
+        index = [np.fromiter(c, np.int64, len(c)) for c in columns[:3]]
+        value = np.fromiter(map(float, columns[3]), np.float64, len(entries))
+    except OverflowError:
+        return None
+    if not all(((0 <= i) & (i < n)).all() for i, n in zip(index, shape)):
+        return None
+    return [*index, value]
+
+
 def mdp_from_dict(doc: dict) -> Mdp:
     try:
         gamma = json_number(doc["gamma"], "gamma")
@@ -371,19 +396,29 @@ def mdp_from_dict(doc: dict) -> Mdp:
     transition = np.zeros((s, a, s))
     reward = np.zeros((s, a, s))
 
+    def entry(i, e, value_key, what):
+        """Entry #i's (x, a, next, value), or InputError naming what is wrong with it."""
+        try:
+            x, j, y, v = e["x"], e["a"], e["next"], e[value_key]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad {what} entry #{i}: {e!r} ({exc})") from exc
+        if not all(type(n) is int for n in (x, j, y)):  # bool is an int subclass
+            raise InputError(f"{what} entry #{i} has a non-integer index: {e!r}")
+        if not (0 <= x < s and 0 <= j < a and 0 <= y < s):
+            raise InputError(f"{what} entry #{i} indexes out of range: {e!r}")
+        return x, j, y, json_number(v, f"{what} entry #{i} {value_key!r}")
+
     def fill(entries, table, value_key, what):
         if not isinstance(entries, list):
             raise InputError(f"{what} entries must be a JSON list, got {type(entries).__name__}")
-        for i, e in enumerate(entries):
-            try:
-                x, j, y, v = e["x"], e["a"], e["next"], e[value_key]
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"bad {what} entry #{i}: {e!r} ({exc})") from exc
-            if not all(type(n) is int for n in (x, j, y)):  # bool is an int subclass
-                raise InputError(f"{what} entry #{i} has a non-integer index: {e!r}")
-            if not (0 <= x < s and 0 <= j < a and 0 <= y < s):
-                raise InputError(f"{what} entry #{i} indexes out of range: {e!r}")
-            table[x, j, y] += json_number(v, f"{what} entry #{i} {value_key!r}")
+        if not entries:
+            return
+        columns = _entry_columns(entries, value_key, (s, a, s))
+        if columns is None:  # some entry is wrong, or of an unusual type: read them one by one
+            rows = (entry(i, e, value_key, what) for i, e in enumerate(entries))
+            columns = [np.array(c) for c in zip(*rows)]
+        # in document order, so duplicate entries sum as a loop of += would
+        np.add.at(table, tuple(columns[:3]), columns[3])
 
     fill(doc.get("transitions", []), transition, "p", "transition")
     fill(doc.get("rewards", []), reward, "r", "reward")

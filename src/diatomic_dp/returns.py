@@ -190,16 +190,21 @@ class ReturnAvars:
     k: int
 
 
+def truncation_bound(mdp: Mdp, k: int) -> float:
+    """gamma^k * max|r| / (1 - gamma), the cost of truncating returns at k steps.
+
+    It bounds the uniform quantile distance, so the error of every tail mean.
+    """
+    return mdp.gamma**k * mdp.reward_span() / (1.0 - mdp.gamma) if mdp.gamma > 0.0 else 0.0
+
+
 def return_avars(mdp: Mdp, policy: Policy, alpha: float, k: int) -> ReturnAvars:
     """Per-(x, a) left/right tail means of the k-step return distribution.
 
     The distribution is the k-fold operator image of the point mass at
-    zero; truncating at k costs at most gamma^k * max|r| / (1 - gamma) in
-    the uniform quantile distance, which bounds the tail-mean error and is
-    returned alongside the estimates. The tail means are exact, computed by
-    the lazy traversal above, which checks the arguments.
+    zero; ``truncation_bound`` bounds the tail-mean error and is returned
+    alongside the estimates. The tail means are exact, computed by the
+    lazy traversal above, which checks the arguments.
     """
-    span = mdp.reward_span()
-    bound = mdp.gamma**k * span / (1.0 - mdp.gamma) if mdp.gamma > 0.0 else 0.0
     left, right = exact_return_avars(mdp, policy, alpha, k)
-    return ReturnAvars(left, right, bound, k)
+    return ReturnAvars(left, right, truncation_bound(mdp, k), k)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diatomic
-from .diatomic import CHECK_SPE_TOL, DoubleQ, _check_alpha, alpha_coherence, spe
+from .diatomic import CHECK_SPE_TOL, DoubleQ, _check_alpha, alpha_coherence, spe, spe_stack
 from .errors import DomainError, PreconditionError, PropertyFailure, ResourceError
 from .mdp import REFERENCE_TOL, Mdp, Policy, check_policy, state_values
-from .returns import return_avars
+from .returns import _ReturnTree, truncation_bound
 
 PERMUTATION_STATE_CAP = 4
 CANDIDATE_CAP = 1_000_000  # most kernel combinations worst_best_case evaluates
@@ -421,19 +421,20 @@ def bavar_vs_avar_gap(
     """
     dq = spe(mdp, policy, alpha, tol=REFERENCE_TOL).double_q
     _require_coherent(mdp, policy, alpha, dq)
-    ra = return_avars(mdp, policy, alpha, k)
+    tree = _ReturnTree(mdp, policy, k)
+    eps_k = truncation_bound(mdp, k)
     v1, v2 = state_values(dq.q1, policy), state_values(dq.q2, policy)
     entries = []
     min_slack = np.inf
-    for x in range(mdp.n_states):
-        for a in policy.support(x):
-            left_gap = float(v1[x]) + ra.error_bound - float(ra.left[x, a])
-            right_gap = float(ra.right[x, a]) + ra.error_bound - float(v2[x])
-            entries.append((x, int(a), left_gap, right_gap))
-            min_slack = min(min_slack, left_gap, right_gap)
+    for x, a in _support_pairs(mdp, policy):  # the tree walks only the roots the report reads
+        left, right = tree.avars(x * mdp.n_actions + a, alpha)
+        left_gap = float(v1[x]) + eps_k - left
+        right_gap = right + eps_k - float(v2[x])
+        entries.append((x, int(a), left_gap, right_gap))
+        min_slack = min(min_slack, left_gap, right_gap)
     return BavarGapReport(
         ok=min_slack >= -SLACK_TOL,
-        eps_k=ra.error_bound,
+        eps_k=eps_k,
         entries=tuple(entries),
         min_slack=float(min_slack),
     )
@@ -460,57 +461,57 @@ def coherence_axioms_check(mdp: Mdp, policy: Policy, alpha: float, x: int) -> Ax
     policy's fixed-point tail value at state x: the right tail must be
     translation-covariant, subadditive, positively homogeneous, and
     monotone; the left tail mirrors those (superadditive, same otherwise).
-    Each evaluation reruns the full fixed-point solve on the perturbed
-    table; no incremental shortcut is taken. The tables come from seed
-    ``AXIOM_SEED``, and each violation must stay within ``diatomic.CHECK_TOL``.
+    Each evaluation is a full fixed-point solve on the perturbed table, all
+    of them in one ``spe_stack``; no incremental shortcut is taken. The
+    tables come from seed ``AXIOM_SEED``, and each violation must stay
+    within ``diatomic.CHECK_TOL``.
     """
     check_policy(mdp, policy)
     if not 0 <= x < mdp.n_states:
         raise DomainError(f"state {x} out of range")
 
-    def tails(reward_table):
-        dq = spe(mdp.with_reward(reward_table), policy, alpha, tol=CHECK_SPE_TOL).double_q
-        f1 = (1.0 - mdp.gamma) * float(state_values(dq.q1, policy)[x])
-        f2 = (1.0 - mdp.gamma) * float(state_values(dq.q2, policy)[x])
-        return f1, f2
-
     rng = np.random.default_rng(AXIOM_SEED)
     shape = mdp.reward.shape
+    betas = []
+    tables = []
+    for _ in range(AXIOM_TRIALS):
+        r1 = rng.uniform(-2.0, 2.0, size=shape)
+        r2 = rng.uniform(-2.0, 2.0, size=shape)
+        beta = float(rng.uniform(0.0, 3.0))
+        dominated = r1 - rng.uniform(0.0, 1.0, size=shape)
+        betas.append(beta)
+        tables += [r1, r2, r1 + beta, r1 + r2, beta * r1, dominated]  # six solves per trial
+    problems = [(mdp.with_reward(table), policy) for table in tables]
+    tails = [
+        tuple((1.0 - mdp.gamma) * float(state_values(q, policy)[x]) for q in (dq.q1, dq.q2))
+        for dq in (sol.double_q for sol in spe_stack(problems, alpha, CHECK_SPE_TOL))
+    ]
+
     worst = {
         "translation": 0.0,
         "subadditivity": 0.0,
         "homogeneity": 0.0,
         "monotonicity": 0.0,
     }
-    for _ in range(AXIOM_TRIALS):
-        r1 = rng.uniform(-2.0, 2.0, size=shape)
-        r2 = rng.uniform(-2.0, 2.0, size=shape)
-        beta = float(rng.uniform(0.0, 3.0))
-        f1_r1, f2_r1 = tails(r1)
-        f1_r2, f2_r2 = tails(r2)
-
-        f1_shift, f2_shift = tails(r1 + beta)
+    for trial, beta in enumerate(betas):
+        lo = 6 * trial
+        (f1_r1, f2_r1), (f1_r2, f2_r2), (f1_shift, f2_shift) = tails[lo : lo + 3]
+        (f1_sum, f2_sum), (f1_scale, f2_scale), (f1_dom, f2_dom) = tails[lo + 3 : lo + 6]
         worst["translation"] = max(
             worst["translation"],
             abs(f2_shift - (f2_r1 + beta)),
             abs(f1_shift - (f1_r1 + beta)),
         )
-
-        f1_sum, f2_sum = tails(r1 + r2)
         worst["subadditivity"] = max(
             worst["subadditivity"],
             f2_sum - (f2_r1 + f2_r2),  # right tail: subadditive
             (f1_r1 + f1_r2) - f1_sum,  # left tail: superadditive
         )
-
-        f1_scale, f2_scale = tails(beta * r1)
         worst["homogeneity"] = max(
             worst["homogeneity"],
             abs(f2_scale - beta * f2_r1),
             abs(f1_scale - beta * f1_r1),
         )
-
-        f1_dom, f2_dom = tails(r1 - rng.uniform(0.0, 1.0, size=shape))
         worst["monotonicity"] = max(
             worst["monotonicity"], f2_dom - f2_r1, f1_dom - f1_r1
         )

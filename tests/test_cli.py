@@ -265,10 +265,13 @@ class TestRobustVerify:
         path = tmp_path / "twin.json"
         save_mdp(twin, path)
         solves = []
-        rounds = diatomic.pair_rounds
-        monkeypatch.setattr(
-            diatomic, "pair_rounds", lambda *args: solves.append(args) or rounds(*args)
-        )
+        stack = diatomic.spe_stack
+
+        def counted(problems, alpha, tol):
+            solves.extend(problems)
+            return stack(problems, alpha, tol)
+
+        monkeypatch.setattr(diatomic, "spe_stack", counted)
         argv = ["robust-verify", str(path), "--policy", policy, "--out", str(tmp_path / "r")]
         assert main(argv) == 0
         assert len(solves) == 1
@@ -542,6 +545,40 @@ class TestFlags:
             main([command, fig1_path, flag, "3", "--out", str(tmp_path / "r")])
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestJsonText:
+    FORMAT = dict(indent=2, sort_keys=True, default=lambda o: o.tolist())
+
+    def test_bytes_equal_json_dump(self):
+        rng = np.random.default_rng(3)
+        payload = {
+            "finite": rng.standard_normal(5),
+            "special": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
+            "empty": np.array([]),
+            "empty_rows": np.zeros((0, 3)),
+            "empty_cols": np.zeros((2, 0)),
+            "table": rng.standard_normal((2, 3)),
+            "kernel": np.array([[[0.25, np.nan]], [[1.0, 0.0]]]),
+            "ints": np.arange(3),
+            "flags": np.array([True, False]),
+            "count": np.int64(7),
+            "flag": np.bool_(False),
+            "scalar": np.float64(0.1),
+            "single": np.float32(0.1),
+            "zero_dim": np.array(2.5),
+            "nested": [1, 2.5, [np.float64(1e300), None, "x"], (), {}],
+            "per_state": {"état": {"worst": np.float64(-1.5), "name": "ß✓"}, "s": {}},
+            "nan": float("nan"),
+        }
+        for value in (payload, [], {}, np.array([1.0]), np.array([]), float("-inf"), "naïve"):
+            assert cli._json_text(value) == json.dumps(value, **self.FORMAT)
+
+    def test_result_file_is_the_json_dump_text(self, fig1_path, tmp_path):
+        out = tmp_path / "r"
+        assert main(["dbo", fig1_path, "--k", "3", "--out", str(out)]) == 0
+        text = (out / "result.json").read_text()
+        assert text == json.dumps(json.loads(text), **self.FORMAT) + "\n"
 
 
 def _first_entry(key, **change):

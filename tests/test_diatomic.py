@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from diatomic_dp.diatomic import (
     diatomic_bellman_apply,
     pair_rounds,
     spe,
+    spe_stack,
 )
 from diatomic_dp.dist import (
     Diatomic,
@@ -373,6 +376,89 @@ class TestRounds:
             assert_allclose(res.value.q2, want.q2, atol=1e-11)
 
 
+def assert_same_solves(got, want):
+    """Stacked and solo solves agree bit for bit, stop round and residual included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.double_q.q1.tobytes() == w.double_q.q1.tobytes()
+        assert g.double_q.q2.tobytes() == w.double_q.q2.tobytes()
+        assert (g.residual, g.iterations) == (w.residual, w.iterations)
+
+
+def deterministic_problems(mdp):
+    return [(mdp, Policy.deterministic(mdp, c)) for c in itertools.product(*mdp.action_sets)]
+
+
+class TestStack:
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_problems_stop_in_their_own_rounds(self, chunk, monkeypatch):
+        problems = deterministic_problems(random_mdp(3, 2, 0.9, seed=2))
+        want = [spe(mdp, pi, 0.3, tol=1e-12) for mdp, pi in problems]
+        assert len({w.iterations for w in want}) > 1  # the stack outlives some problems
+        if chunk is not None:  # fill chunks of one or two rows, across problem boundaries
+            monkeypatch.setattr(diatomic, "_CHUNK", chunk)
+        assert_same_solves(spe_stack(problems, 0.3, 1e-12), want)
+
+    @pytest.mark.parametrize("garbage", [1e6, np.nan])
+    def test_one_problem_falls_back_to_sweeps(self, fig1, garbage, monkeypatch):
+        problems = deterministic_problems(fig1)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, c: np.full_like(c, garbage))
+        spoiled = spe(*problems[1], 0.5, tol=1e-12)
+        monkeypatch.undo()
+        want = [spe(mdp, pi, 0.5, tol=1e-12) for mdp, pi in problems]
+        want[1] = spoiled
+
+        def spoil_one(a, c):
+            x = solve(a, c)
+            x[1] = garbage
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", spoil_one)
+        got = spe_stack(problems, 0.5, 1e-12)
+        monkeypatch.undo()
+        # every round of problem 1 took the plain sweep; the others kept their rounds
+        assert spoiled.iterations > 30 and max(w.iterations for w in want if w is not spoiled) <= 2
+        assert_same_solves(got, want)
+
+    def test_one_exhausted_problem_raises_as_its_own_run(self, monkeypatch):
+        mdp = random_mdp(3, 2, 0.99, seed=2)
+        pi = Policy.uniform(mdp)
+        problems = [(mdp.with_reward(np.zeros_like(mdp.reward)), pi), (mdp, pi)]
+        problems.append((mdp.with_reward(np.round(mdp.reward)), pi))
+        monkeypatch.setattr(mdp_module, "DEFAULT_MAX_ITER", 5)
+        assert [spe(*problems[b], 0.1, tol=1e-12).iterations for b in (0, 2)] == [1, 4]
+        with pytest.raises(ConvergenceError) as solo:
+            spe(mdp, pi, 0.1, tol=1e-12)
+        with pytest.raises(ConvergenceError) as stacked:
+            spe_stack(problems, 0.1, 1e-12)
+        assert str(stacked.value) == str(solo.value)
+        assert (stacked.value.residual, stacked.value.iterations) == (solo.value.residual, 5)
+
+    def test_stacks_hold_at_most_the_cap(self, fig1, monkeypatch):
+        problems = deterministic_problems(fig1)
+        want = [spe(mdp, pi, 0.5) for mdp, pi in problems]
+        stacks = []
+        particles = diatomic._Particles
+
+        def counted(mdp, table, alpha):
+            stacks.append(table.problems)
+            return particles(mdp, table, alpha)
+
+        monkeypatch.setattr(diatomic, "_Particles", counted)
+        monkeypatch.setattr(diatomic, "PARTICLE_CAP", 3 * 2 * 4**2)  # fig1: 2 (S*A)^2 = 32 each
+        assert_same_solves(spe_stack(problems, 0.5, 1e-10), want)
+        assert stacks == [3, 1]
+
+    def test_problems_must_share_their_layout(self, fig1):
+        other = random_mdp(3, 2, 0.5, seed=0)
+        with pytest.raises(DomainError, match="discount and the table shape"):
+            spe_stack([(fig1, Policy.uniform(fig1)), (other, Policy.uniform(other))], 0.5, 1e-10)
+        with pytest.raises(DomainError, match="unknown count and successor width"):
+            spe_stack([(fig1, Policy.uniform(fig1)), (fig1, Policy.always(fig1, 0))], 0.5, 1e-10)
+        assert spe_stack([], 0.5, 1e-10) == []
+
+
 def child_lists(mdp, policy):
     """Each entry's (successor entries, masses, rewards), by plain loops over (x, a, y, b)."""
     lists = []
@@ -450,8 +536,8 @@ class TestParticles:
     @pytest.mark.parametrize("start", ["zero", "random"])
     def test_sweep_equals_fancy_index_sweep(self, layout, start):
         mdp, policy = layout_instance(layout)
-        got_cloud, sources = diatomic._played(mdp, policy, 0.35)
-        want_cloud, _ = diatomic._played(mdp, policy, 0.35)
+        got_cloud, sources = diatomic._played([(mdp, policy)], 0.35)
+        want_cloud, _ = diatomic._played([(mdp, policy)], 0.35)
         rng = np.random.default_rng(11)
         q = np.zeros(2 * sources.size)
         if start == "random":

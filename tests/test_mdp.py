@@ -267,6 +267,51 @@ class TestJsonInterchange:
         with pytest.raises(InputError, match="JSON number|out of range"):
             mdp_from_dict({**doc, **patch})
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                [{"x": 0, "a": 0, "next": 2, "p": 0.5}, {"x": 0, "a": 0, "p": 0.5}],
+                "transition entry #1 indexes out of range: {'x': 0, 'a': 0, 'next': 2, 'p': 0.5}",
+            ),
+            (
+                [{"x": 0, "a": 0, "p": 0.5}, {"x": 0.0, "a": 0, "next": 0, "p": 0.5}],
+                "bad transition entry #1: {'x': 0, 'a': 0, 'p': 0.5} ('next')",
+            ),
+            (
+                [{"x": 0, "a": True, "next": 0, "p": 0.5}, {"x": 0, "a": 0, "next": 0, "p": "1"}],
+                "transition entry #1 has a non-integer index: "
+                "{'x': 0, 'a': True, 'next': 0, 'p': 0.5}",
+            ),
+            (
+                [{"x": 0, "a": 0, "next": 0, "p": None}, [0, 0, 0, 0.5]],
+                "transition entry #1 'p' must be a JSON number, got None",
+            ),
+            (
+                [{"x": 0, "a": 0, "next": 0, "p": 10**400}, {"x": 9, "a": 0, "next": 0, "p": 0.5}],
+                "transition entry #1 'p' is out of range (int too large to convert to float)",
+            ),
+        ],
+        ids=["range-key", "key-float-index", "bool-index-text", "null-list", "huge-range"],
+    )
+    def test_reports_the_first_of_several_bad_entries(self, bad, message):
+        good = {"x": 0, "a": 0, "next": 1, "p": 0.5}
+        doc = {"gamma": 0.5, "states": ["s", "t"], "actions": ["a"], "transitions": [good, *bad]}
+        with pytest.raises(InputError) as err:
+            mdp_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_duplicate_entries_sum_in_document_order(self):
+        doc = {
+            "gamma": 0.5,
+            "states": ["s"],
+            "actions": ["a"],
+            "transitions": [{"x": 0, "a": 0, "next": 0, "p": 1.0}],
+            "rewards": [{"x": 0, "a": 0, "next": 0, "r": r} for r in (0.1, 0.2, 0.3)],
+        }
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert mdp_from_dict(doc).reward[0, 0, 0] == (0.1 + 0.2) + 0.3
+
     def test_table_budget_refuses_before_allocating(self, monkeypatch):
         # S*A*S = 8 entries per table: one over a cap of 7, within a cap of 8
         doc = {

@@ -11,9 +11,12 @@ the bytes of its result (``exact_return_avars`` with the uniform policy,
 the ``dbo_iterate`` table after six steps, ``bavar_vs_avar_gap`` reports
 for every deterministic policy, ``simplex.solve`` on the three-state
 risky primals, the ``risk_neutral_kernel`` followed by the
-``permutation_kernel`` of every ``visit_orders`` entry, and the
+``permutation_kernel`` of every ``visit_orders`` entry, the
 ``optimality_certificate`` reports in both modes, whose ``spe`` solve of
-every deterministic policy decides their floats).
+every deterministic policy decides their floats, and the
+``coherence_axioms_check`` reports of the uniform policy at every state of
+fig1 and the three-state instances, whose floats come from ``spe`` solves
+on perturbed reward tables).
 Two source trees whose outputs are byte-identical print identical lines:
 
     PYTHONPATH=old/src python3 tools/artifact_digest.py /tmp/digest-old > old.txt
@@ -46,6 +49,7 @@ from diatomic_dp.returns import exact_return_avars
 from diatomic_dp.risky_lp import build_risky_primal
 from diatomic_dp.robust import (
     bavar_vs_avar_gap,
+    coherence_axioms_check,
     permutation_kernel,
     risk_neutral_kernel,
     visit_orders,
@@ -143,6 +147,10 @@ def library_lines():
             for alpha in (0.3, 0.7):
                 report = repr(optimality_certificate(mdp, alpha, mode))
                 yield f"optimality_certificate {name} {mode} {alpha=} {digest(report.encode())}"
+        if name == "fig1" or mdp.n_states == 3:
+            for x in range(mdp.n_states):
+                report = repr(coherence_axioms_check(mdp, uniform, 0.3, x)).encode()
+                yield f"coherence_axioms_check {name} uniform alpha=0.3 {x=} {digest(report)}"
 
 
 def run_one(argv: list[str], out: str) -> str:
