@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diatomic
-from .diatomic import CHECK_SPE_TOL, _check_alpha, _Particles, _rounds, _successors, spe_stack
+from .diatomic import CHECK_SPE_TOL, _check_alpha, _Particles, _rounds, _stack_solves, _state_table
 from .errors import DomainError, ResourceError
 from .mdp import (
     DEFAULT_TOL,
     REFERENCE_TOL,
     Mdp,
-    Policy,
     SweepRun,
     _require_balanced,
     optimal_action_sets,
@@ -106,9 +105,7 @@ class ControlRounds:
         _, self.v_star = _require_balanced(mdp)
 
     def table(self) -> _Particles:
-        s = self.mdp.n_states
-        table = _successors(self.mdp, self.mdp.transition.reshape(-1, s), np.arange(s))
-        return _Particles(self.mdp, table, self.alpha)
+        return _Particles(self.mdp, _state_table(self.mdp), self.alpha)
 
     def pick(self, out: np.ndarray) -> np.ndarray:
         q1 = out[: out.size // 2].reshape(self.mdp.action_mask.shape)
@@ -185,9 +182,10 @@ def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> Certif
     """Verify a control solution by evaluating every deterministic policy.
 
     Every deterministic admissible policy gets a full two-sided evaluation,
-    all of them in one ``spe_stack``; its own left value at each state must
-    not beat the claimed optimum (exceed it for safe, undercut it for risky)
-    by more than ``diatomic.CHECK_TOL``. More than ``ENUMERATION_CAP``
+    all of them stacked as ``spe_stack`` stacks them, on the one state table
+    they share; its own left value at each state must not beat the claimed
+    optimum (exceed it for safe, undercut it for risky) by more than
+    ``diatomic.CHECK_TOL``. More than ``ENUMERATION_CAP``
     policies raise ResourceError before any solve.
     """
     total = math.prod(len(group) for group in mdp.action_sets)
@@ -200,11 +198,16 @@ def optimality_certificate(mdp: Mdp, alpha: float, mode: str = "safe") -> Certif
     # the greedy policy is among the candidates: group[0] of each action set
     greedy = tuple(group[0] for group in result.action_sets)
     candidates = list(itertools.product(*mdp.action_sets))
-    problems = [(mdp, Policy.deterministic(mdp, choices)) for choices in candidates]
+    table, first = _state_table(mdp), np.arange(mdp.n_states) * mdp.n_actions
+
+    def played(b):  # every candidate's table is the state table; b plays (y, choices[y])
+        return table, first + candidates[b]
+
+    solves = _stack_solves(mdp, len(candidates), played, alpha, CHECK_SPE_TOL)
     worst = -np.inf
     witness = None
     attained = np.inf
-    for choices, sol in zip(candidates, spe_stack(problems, alpha, CHECK_SPE_TOL)):
+    for choices, sol in zip(candidates, solves):
         own = sol.double_q.q1[np.arange(mdp.n_states), list(choices)]
         violation = float((result.v1 - own).max() if risky else (own - result.v1).max())
         if violation > worst:

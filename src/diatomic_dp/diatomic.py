@@ -133,6 +133,14 @@ def _stack(tables: Sequence[_Successors]) -> _Successors:
     )
 
 
+def _state_table(mdp: Mdp) -> _Successors:
+    """The table whose unknowns are the states (link P): ``svi``'s, and the
+    played table of every deterministic policy (``_played_table`` scales
+    each link by 1.0), whose played entries alone differ."""
+    s = mdp.n_states
+    return _successors(mdp, mdp.transition.reshape(-1, s), np.arange(s))
+
+
 def _played_table(mdp: Mdp, policy: Policy) -> tuple[_Successors, np.ndarray]:
     """The table whose unknowns are the entries the policy plays, with those entries.
 
@@ -230,16 +238,21 @@ class _Particles:
         return DoubleQ(out[:m].reshape(self.shape), out[m:].reshape(self.shape), self.alpha)
 
 
-def _played(problems: Sequence[tuple[Mdp, Policy]], alpha: float) -> tuple[_Particles, np.ndarray]:
-    """``spe``'s particles on the stacked ``_played_table`` of the problems, with their entries.
+def _particles(mdp: Mdp, tables, alpha: float) -> tuple[_Particles, np.ndarray]:
+    """``spe``'s particles on the stack of (played table, played entries) ``tables``,
+    with the stack's entries.
 
     Problem b's played entries are offset by b * S * A. The tables die on
     return, so the rounds hold only the particles.
     """
-    tables = [_played_table(*problem) for problem in problems]
     m = tables[0][0].succ.shape[0]
     sources = np.concatenate([played + b * m for b, (_, played) in enumerate(tables)])
-    return _Particles(problems[0][0], _stack([table for table, _ in tables]), alpha), sources
+    return _Particles(mdp, _stack([table for table, _ in tables]), alpha), sources
+
+
+def _played(problems: Sequence[tuple[Mdp, Policy]], alpha: float) -> tuple[_Particles, np.ndarray]:
+    """``spe``'s particles on the stacked ``_played_table`` of the problems, with their entries."""
+    return _particles(problems[0][0], [_played_table(*problem) for problem in problems], alpha)
 
 
 def diatomic_bellman_apply(mdp: Mdp, policy: Policy, dq: DoubleQ) -> DoubleQ:
@@ -367,10 +380,17 @@ def spe_stack(problems: Sequence[tuple[Mdp, Policy]], alpha: float, tol: float) 
     mdp = problems[0][0]
     if any(m.gamma != mdp.gamma or m.transition.shape != mdp.transition.shape for m, _ in problems):
         raise DomainError("stacked problems must share the discount and the table shape")
+    return _stack_solves(mdp, len(problems), lambda b: _played_table(*problems[b]), alpha, tol)
+
+
+def _stack_solves(mdp: Mdp, n: int, played, alpha: float, tol: float) -> list[SpeSolve]:
+    """``spe_stack`` of n problems on ``mdp``'s discount and table shape, where
+    ``played(b)`` builds problem b's played table and played entries."""
+    _check_size(mdp)
     solves = []
     chunk = max(1, PARTICLE_CAP // (2 * (mdp.n_states * mdp.n_actions) ** 2))
-    for lo in range(0, len(problems), chunk):
-        cloud, sources = _played(problems[lo : lo + chunk], alpha)
+    for lo in range(0, n, chunk):
+        cloud, sources = _particles(mdp, [played(b) for b in range(lo, min(lo + chunk, n))], alpha)
         start = np.zeros(2 * sources.size)
         rounds = _rounds(cloud, start, lambda out: sources, lambda r: r, tol)
         last = run_sweeps(rounds, tol).require_converged("value pair", "rounds").value

@@ -456,10 +456,15 @@ def mdp_to_dict(mdp: Mdp) -> dict:
 
 
 def read_json(path: str) -> Any:
-    """The parsed JSON file, or InputError naming the path (and line and column)."""
+    """The parsed JSON file, or InputError naming the path (and line and column,
+    or the offset of the first byte that is not UTF-8)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:

@@ -43,12 +43,12 @@ def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     int64 keys tie-run index * n + position puts each run back in order.
     """
     order = keys.argsort()
-    ordered = keys[order]
+    ordered = keys.take(order)
     tied = ordered[1:] == ordered[:-1]
     if tied.any():
         run = np.concatenate(([0], np.cumsum(~tied))) * keys.size
         order = np.sort(run + order) - run
-        ordered = keys[order]  # -0.0 and 0.0 tie, so re-read the signs
+        ordered = keys.take(order)  # -0.0 and 0.0 tie, so re-read the signs
     return order, ordered
 
 
@@ -68,92 +68,92 @@ class _ReturnTree:
         self.n_children = np.count_nonzero(self.prob, axis=1)
         self.key_type = np.min_scalar_type(self.child.shape[0] - 1)
         real = self.prob > 0.0
+        self.real = None if real.all() else real  # the mask that drops padding, if any
 
-        # Value-interval and mean DPs indexed by steps remaining.
-        self.min_rest = np.zeros((k + 1, self.child.shape[0]))
-        self.max_rest = np.zeros_like(self.min_rest)
-        self.mean_rest = np.zeros_like(self.min_rest)
+        # Value-interval and mean DPs indexed by steps remaining: (min, max, mean).
+        rest = np.zeros((3, k + 1, self.child.shape[0]))
         for j in range(1, k + 1):
-            low, high, mean = (
-                self.reward + mdp.gamma * rest[j - 1, self.child]
-                for rest in (self.min_rest, self.max_rest, self.mean_rest)
-            )
-            self.min_rest[j] = np.where(real, low, np.inf).min(axis=1)
-            self.max_rest[j] = np.where(real, high, -np.inf).max(axis=1)
-            # one dot product per row: the same sums as a dot over the real children
-            self.mean_rest[j] = (self.prob[:, None, :] @ mean[:, :, None])[:, 0, 0]
-        scale = max(
-            1.0, float(np.abs(self.min_rest[k]).max()), float(np.abs(self.max_rest[k]).max())
-        )
-        self.margin = _MARGIN * scale
+            low, high, mean = (self.reward + mdp.gamma * r[self.child] for r in rest[:, j - 1])
+            rest[0, j] = np.where(real, low, np.inf).min(axis=1)
+            rest[1, j] = np.where(real, high, -np.inf).max(axis=1)
+            # one dot per row over the real children and zero padding, on a fresh mean
+            # table: the batched dot rounds by memory layout
+            rest[2, j] = (self.prob[:, None, :] @ mean[:, :, None])[:, 0, 0]
+        # offset[:, t] = gamma^t * rest[:, k - t], added to a depth-t node's reward so far
+        self.offset = self.pow[:k, None] * rest[:, k:0:-1]
+        self.margin = _MARGIN * max(1.0, float(np.abs(rest[:2, k]).max()))
 
     def _expand(self, ent, p, s, t):
-        """The children of the frontier nodes at depth t, without the zero-mass padding.
-
-        Children come grouped by parent entry, in a stable order, so every
-        later sum over the frontier adds its terms in a fixed order.
-        """
-        # the smallest key type that holds every entry id: uint8 and uint16
-        # keys take numpy's radix sort
-        node = ent.astype(self.key_type).argsort(kind="stable")
-        counts = self.n_children[ent[node]]
-        node = node.repeat(counts)
-        first = np.repeat(counts.cumsum() - counts, counts)  # each child's parent's first slot
-        cell = ent[node] * self.child.shape[1] + np.arange(node.size) - first
-        return (
-            self.child.ravel()[cell],
-            p[node] * self.prob.ravel()[cell],
-            s[node] + self.pow[t] * self.reward.ravel()[cell],
-        )
+        """The children of the depth-t nodes, grouped by entry in a stable order, whole
+        child rows without the zero-mass padding: later sums add in a fixed order."""
+        child = self.child.take(ent, axis=0).ravel()
+        p = (p[:, None] * self.prob.take(ent, axis=0)).ravel()
+        s = (s[:, None] + self.pow[t] * self.reward.take(ent, axis=0)).ravel()
+        if self.real is None:
+            return child, p, s
+        real = self.real.take(ent, axis=0).ravel().nonzero()[0]
+        return child.take(real), p.take(real), s.take(real)
 
     @staticmethod
-    def _crossing(ends: np.ndarray, p: np.ndarray, start: float, alpha: float) -> float:
+    def _sorted(keys, p, start: float, alpha: float, bound: float):
+        """The keys in stable order, their masses, and the first index where start plus
+        the cumulative mass reaches alpha (else the last). Only the keys <= bound are
+        sorted, unless alpha lies beyond them: the stable sort of that prefix (taken
+        in frontier order) is the prefix of the stable sort, so every sum agrees."""
+        head = (keys <= bound).nonzero()[0]
+        if head.size < keys.size:
+            order, ordered = _stable_sort(keys.take(head))
+            probs = p.take(head.take(order))
+            i = int((start + probs.cumsum()).searchsorted(alpha, side="left"))
+            if i < probs.size:
+                return ordered, probs, i
+        order, ordered = _stable_sort(keys)
+        probs = p.take(order)
+        i = int((start + probs.cumsum()).searchsorted(alpha, side="left"))
+        return ordered, probs, min(i, probs.size - 1)
+
+    @staticmethod
+    def _crossing(ends, p, start: float, alpha: float, bound: float = np.inf) -> float:
         """Smallest endpoint at which start + mass of endpoints <= it reaches alpha."""
-        order, ordered = _stable_sort(ends)
-        cum = start + p[order].cumsum()
-        i = min(int(cum.searchsorted(alpha, side="left")), len(cum) - 1)
+        ordered, _, i = _ReturnTree._sorted(ends, p, start, alpha, bound)
         return float(ordered[i])
 
     def avars(self, root: int, alpha: float) -> tuple[float, float]:
-        vmin = float(self.min_rest[self.k, root])
-        vmax = float(self.max_rest[self.k, root])
-        mean = float(self.mean_rest[self.k, root])
+        vmin, vmax, mean = (float(v) for v in self.offset[:, 0, root])
         if vmin == vmax:
             return mean, mean
-
-        ent = np.array([root], dtype=np.int64)
-        p = np.array([1.0])
-        s = np.array([0.0])
-        below_mass = 0.0
-        below_wsum = 0.0
-        visited = 0
+        lo_offset, hi_offset, mean_offset = self.offset
+        ent, p, s = np.array([root], dtype=np.int64), np.array([1.0]), np.array([0.0])
+        below_mass = below_wsum = 0.0
+        visited, qhi = 0, np.inf
         for t in range(self.k):
-            rem = self.k - t
-            lo = s + self.pow[t] * self.min_rest[rem, ent]
-            hi = s + self.pow[t] * self.max_rest[rem, ent]
-            qlo = self._crossing(lo, p, below_mass, alpha)
-            qhi = self._crossing(hi, p, below_mass, alpha)
-            full = hi <= qlo - self.margin
-            if full.any():
-                below_mass += float(p[full].sum())
-                below_wsum += float(
-                    (p[full] * (s[full] + self.pow[t] * self.mean_rest[rem, ent[full]])).sum()
-                )
-            keep = ~full & (lo < qhi + self.margin)
-            visited += int(self.n_children[ent[keep]].sum())  # the next frontier's size
+            lo, hi = s + lo_offset[t][ent], s + hi_offset[t][ent]
+            # the pessimistic crossing cannot rise above the last one's by more
+            # than interval noise, nor the optimistic one above the pessimistic
+            qhi = self._crossing(hi, p, below_mass, alpha, qhi + self.margin)
+            qlo = self._crossing(lo, p, below_mass, alpha, qhi)
+            folded = hi <= qlo - self.margin
+            full = folded.nonzero()[0]
+            if full.size:
+                p_full, s_full = p.take(full), s.take(full) + mean_offset[t][ent.take(full)]
+                below_mass += float(p_full.sum())
+                below_wsum += float((p_full * s_full).sum())
+            keep = (~folded & (lo < qhi + self.margin)).nonzero()[0]
+            kept = ent.take(keep)
+            visited += int(self.n_children[kept].sum())  # the next frontier's size
             if visited > NODE_CAP:
                 raise ResourceError(
                     f"return-tree traversal exceeded {NODE_CAP} nodes; "
                     "the branching-discount product is too large for this horizon"
                 )
-            ent, p, s = self._expand(ent[keep], p[keep], s[keep], t)
+            # the smallest key type that holds every entry id: uint8 and uint16
+            # keys take numpy's radix sort
+            node = keep[kept.astype(self.key_type).argsort(kind="stable")]
+            ent, p, s = self._expand(ent.take(node), p.take(node), s.take(node), t)
 
         # The frontier now holds every leaf the quantile atom could be; the
         # accumulated mass is exactly the mass of leaves resolved below it.
-        order, values = _stable_sort(s)
-        probs = p[order]
-        cum = below_mass + np.cumsum(probs)
-        idx = min(int(np.searchsorted(cum, alpha, side="left")), len(cum) - 1)
+        values, probs, idx = self._sorted(s, p, below_mass, alpha, qhi + self.margin)
         q = float(values[idx])
         lt = values < q
         eq = values == q

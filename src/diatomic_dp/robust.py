@@ -319,8 +319,10 @@ def worst_best_case(
     rep_low, rep_high, rep_counts = [], [], []
     for j in range(len(pairs)):
         stacked = np.concatenate([all_low[:, j], all_high[:, j]], axis=1)
-        _, first = np.unique(np.round(stacked, 12), axis=0, return_index=True)
-        keep = np.sort(first)  # preserve enumeration order of representatives
+        first = {}  # each distinct row's first order; adding 0.0 folds -0.0 into 0.0
+        for i, row in enumerate(np.round(stacked, 12) + 0.0):
+            first.setdefault(row.tobytes(), i)
+        keep = list(first.values())  # in enumeration order
         rep_low.append(all_low[keep, j])
         rep_high.append(all_high[keep, j])
         rep_counts.append(len(keep))

@@ -672,6 +672,18 @@ class TestErrorMapping:
         assert err.startswith("error: ") and "nested too deeply" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "avar"], ids=["mdp-file", "avar-file"])
+    def test_file_that_is_not_utf8_exits_1(self, command, tmp_path, capsys):
+        doc = mdp_to_dict(fig1_mdp()) if command == "eval" else [{"value": 1.0, "prob": 1.0}]
+        data = json.dumps(doc).encode()
+        path = tmp_path / "latin1.json"
+        path.write_bytes(data[:-1] + b"\xff" + data[-1:])  # a Latin-1 byte before the last bracket
+        out = tmp_path / "run"
+        assert main([command, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8 text (byte 0xff at offset {len(data) - 1})\n"
+        assert not out.exists()
+
     def test_existing_file_as_out_exits_1(self, fig1_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "policy_sweeps", no_solve)
         monkeypatch.setattr(cli, "duality_gap_check", no_solve)

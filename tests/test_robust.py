@@ -266,6 +266,20 @@ class TestWorstBest:
             assert p[best_sub(x), a2, best_sub(1)] == 0.5
         assert in_uncertainty_set(mdp, 0.5, res.kernel)
 
+    @pytest.mark.parametrize("seed", [100, 300])
+    def test_candidates_are_the_unique_rows(self, seed):
+        # np.unique on the rounded rows, the dedup's reference, counts the same representatives
+        mdp = random_balanced_mdp(2 if seed < 300 else 3, 2, gamma=0.5, seed=seed)
+        for choices in itertools.product(*mdp.action_sets):
+            policy = Policy.deterministic(mdp, choices)
+            pairs = [(x, a) for x in range(mdp.n_states) for a in policy.support(x)]
+            low, high = _order_rows(mdp, 0.4, pairs)
+            want = 1
+            for j in range(len(pairs)):
+                rows = np.round(np.concatenate([low[:, j], high[:, j]], axis=1), 12)
+                want *= len(np.unique(rows, axis=0))
+            assert worst_best_case(mdp, policy, 0.4).n_candidates == want
+
     def test_deterministic_world_pins_both_extremes(self):
         mdp = fig1_mdp()
         res = worst_best_case(mdp, Policy.always(mdp, 0), 0.5)

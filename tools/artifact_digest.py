@@ -7,7 +7,8 @@ line per run: the argv, the exit code, and a sha256 of ``result.json``,
 for a file the run did not write).
 It then prints one line per call of the library routes the CLI does not
 reach, over the stock corpus: the route, its arguments, and a sha256 of
-the bytes of its result (``exact_return_avars`` with the uniform policy,
+the bytes of its result (``exact_return_avars`` with the uniform policy
+and with every deterministic policy at the extreme levels 0.05 and 0.95,
 the ``dbo_iterate`` table after six steps, ``bavar_vs_avar_gap`` reports
 for every deterministic policy, ``simplex.solve`` on the three-state
 risky primals, the ``risk_neutral_kernel`` followed by the
@@ -126,6 +127,11 @@ def library_lines():
         for alpha in (0.2, 0.5, 0.8):
             tails = exact_return_avars(mdp, uniform, alpha, k)
             yield f"exact_return_avars {name} uniform {alpha=} {k=} {digest_arrays(*tails)}"
+        for choices in itertools.product(*mdp.action_sets):
+            label = "pi" + "".join(map(str, choices))
+            for alpha in (0.05, 0.95):
+                tails = exact_return_avars(mdp, Policy.deterministic(mdp, choices), alpha, k)
+                yield f"exact_return_avars {name} {label} {alpha=} {k=} {digest_arrays(*tails)}"
         df = dbo_iterate(mdp, uniform, DistFunction.dirac_zero(mdp), 6)
         atoms = [a for row in df.dists for d in row for a in (d.values, d.probs)]
         yield f"dbo_iterate {name} uniform k=6 {digest_arrays(*atoms)}"
