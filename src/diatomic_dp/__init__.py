@@ -1,113 +1,43 @@
-"""Tabular dynamic programming on two-atom return models."""
+"""Tabular dynamic programming on two-atom return models.
 
-from .control import (
-    ControlResult,
-    optimality_certificate,
-    risky_bellman_apply,
-    safe_bellman_apply,
-    svi,
-)
-from .dbo import DistFunction, dbo_apply, dbo_iterate
-from .diatomic import (
-    DoubleQ,
-    SpeSolve,
-    alpha_coherence,
-    diatomic_bellman_apply,
-    spe,
-)
-from .dist import (
-    Diatomic,
-    DiscreteDist,
-    avar_left,
-    avar_left_dual,
-    avar_right,
-    expectation,
-    mix,
-    project_w2_diatomic,
-    pushforward_affine,
-    quantile,
-    wasserstein,
-)
-from .mdp import (
-    Mdp,
-    Policy,
-    QSolve,
-    bellman_policy_op,
-    evaluate_policy,
-    is_balanced,
-    load_mdp,
-    optimal_action_sets,
-    reduce_to_balanced,
-    save_mdp,
-    state_values,
-    value_iteration,
-)
-from .returns import return_avars
-from .risky_lp import build_risky_dual, build_risky_primal, duality_gap_check
-from .robust import (
-    AugmentedKernel,
-    bavar_vs_avar_gap,
-    coherence_axioms_check,
-    in_uncertainty_set,
-    permutation_kernel,
-    risk_neutral_kernel,
-    visit_orders,
-    worst_best_case,
-)
-from .simplex import LpProblem, LpSolution, solve
+Each public name is imported from its submodule on first access (PEP 562),
+so ``import diatomic_dp`` alone loads neither numpy nor any solver.
+"""
 
-__all__ = [
-    "AugmentedKernel",
-    "ControlResult",
-    "Diatomic",
-    "DiscreteDist",
-    "DistFunction",
-    "DoubleQ",
-    "LpProblem",
-    "LpSolution",
-    "Mdp",
-    "Policy",
-    "QSolve",
-    "SpeSolve",
-    "alpha_coherence",
-    "avar_left",
-    "avar_left_dual",
-    "avar_right",
-    "bavar_vs_avar_gap",
-    "bellman_policy_op",
-    "build_risky_dual",
-    "build_risky_primal",
-    "coherence_axioms_check",
-    "dbo_apply",
-    "dbo_iterate",
-    "diatomic_bellman_apply",
-    "duality_gap_check",
-    "evaluate_policy",
-    "expectation",
-    "in_uncertainty_set",
-    "is_balanced",
-    "load_mdp",
-    "mix",
-    "optimal_action_sets",
-    "optimality_certificate",
-    "permutation_kernel",
-    "project_w2_diatomic",
-    "pushforward_affine",
-    "quantile",
-    "reduce_to_balanced",
-    "return_avars",
-    "risk_neutral_kernel",
-    "risky_bellman_apply",
-    "safe_bellman_apply",
-    "save_mdp",
-    "solve",
-    "spe",
-    "state_values",
-    "svi",
-    "value_iteration",
-    "visit_orders",
-    "wasserstein",
-    "worst_best_case",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "control": "ControlResult optimality_certificate risky_bellman_apply safe_bellman_apply svi",
+        "dbo": "DistFunction dbo_apply dbo_iterate",
+        "diatomic": "DoubleQ SpeSolve alpha_coherence diatomic_bellman_apply spe",
+        "dist": "Diatomic DiscreteDist avar_left avar_left_dual avar_right expectation mix "
+        "project_w2_diatomic pushforward_affine quantile wasserstein",
+        "mdp": "Mdp Policy QSolve bellman_policy_op evaluate_policy is_balanced load_mdp "
+        "optimal_action_sets reduce_to_balanced save_mdp state_values value_iteration",
+        "returns": "return_avars",
+        "risky_lp": "build_risky_dual build_risky_primal duality_gap_check",
+        "robust": "AugmentedKernel bavar_vs_avar_gap coherence_axioms_check in_uncertainty_set "
+        "permutation_kernel risk_neutral_kernel visit_orders worst_best_case",
+        "simplex": "LpProblem LpSolution solve",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -10,25 +10,17 @@ meaningful check.
 Exit codes: 0 success, 1 unreadable or malformed input or an unusable
 output path, 2 violated preconditions or exhausted resource budgets, 3
 failed convergence or a broken mathematical property.
+
+Each handler imports numpy and the solver modules it calls when it runs,
+so ``--help``, usage errors and refused output paths load neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import errno
-import json
-import os
-import pathlib
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .control import ControlRounds
-from .dbo import DistFunction, dbo_steps
-from .diatomic import pair_rounds, spe
-from .dist import DiscreteDist, avar_left, avar_right, expectation
 from .errors import (
     ConvergenceError,
     DiatomicError,
@@ -36,21 +28,14 @@ from .errors import (
     PropertyFailure,
     SolverError,
 )
-from .mdp import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    Mdp,
-    Policy,
-    SweepRun,
-    json_number,
-    load_mdp,
-    policy_sweeps,
-    read_json,
-    run_sweeps,
-    state_values,
-)
-from .risky_lp import duality_gap_check
-from .robust import worst_best_case
+
+if TYPE_CHECKING:
+    import pathlib
+
+    import numpy as np
+
+    from .dist import DiscreteDist
+    from .mdp import Mdp, Policy, SweepRun
 
 
 def _json_text(payload) -> str:
@@ -62,6 +47,10 @@ def _json_text(payload) -> str:
     infinities included, goes through ``json`` itself. Dictionary keys are
     strings, as in every payload here.
     """
+    import json
+
+    import numpy as np
+
     parts = []
 
     def put(o, indent: str) -> None:  # indent: the newline and spaces of o's level
@@ -94,6 +83,8 @@ def _json_text(payload) -> str:
 
 
 def _out_dir(args) -> pathlib.Path:
+    import pathlib
+
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -105,6 +96,10 @@ def _check_outputs(args) -> None:
     The nearest existing path at or above --out must be a directory, and
     the directory of a --dump-lp file must exist.
     """
+    import errno
+    import os
+    import pathlib
+
     out = pathlib.Path(args.out)
     found = next(path for path in (out, *out.parents) if path.exists())
     if not found.is_dir():
@@ -120,6 +115,8 @@ def _write_result(args, payload: dict) -> None:
 
 
 def _write_trace(args, header, rows) -> None:
+    import csv
+
     with open(_out_dir(args) / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -130,6 +127,10 @@ def _write_trace(args, header, rows) -> None:
 
 
 def _load_mdp(args) -> Mdp:
+    import dataclasses
+
+    from .mdp import load_mdp
+
     mdp = load_mdp(args.path)
     if getattr(args, "gamma", None) is not None:
         mdp = dataclasses.replace(mdp, gamma=args.gamma)
@@ -137,6 +138,8 @@ def _load_mdp(args) -> Mdp:
 
 
 def _parse_policy(mdp: Mdp, text: str) -> Policy:
+    from .mdp import Policy
+
     if text == "uniform":
         return Policy.uniform(mdp)
     if text.startswith("always:"):
@@ -160,6 +163,12 @@ def _parse_policy(mdp: Mdp, text: str) -> Policy:
 
 def _json_array(text: str, what: str) -> np.ndarray:
     """Inline JSON lists, nested to any depth, read entry by entry with ``json_number``."""
+    import json
+
+    import numpy as np
+
+    from .mdp import json_number
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -198,6 +207,8 @@ def _entry_headers(mdp: Mdp, prefix: str):
 
 def _run_traced(args, sweeps, header, row) -> SweepRun:
     """Run ``sweeps`` to --tol or --max-iter, writing one trace row per iteration."""
+    from .mdp import run_sweeps
+
     rows = []
     run = run_sweeps(
         sweeps,
@@ -210,6 +221,8 @@ def _run_traced(args, sweeps, header, row) -> SweepRun:
 
 
 def _cmd_eval(args) -> int:
+    from .mdp import policy_sweeps, state_values
+
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
     run = _run_traced(
@@ -231,6 +244,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_spe(args) -> int:
+    from .diatomic import pair_rounds
+
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
     run = _run_traced(
@@ -257,6 +272,9 @@ def _cmd_spe(args) -> int:
 
 
 def _cmd_dbo(args) -> int:
+    from .dbo import DistFunction, dbo_steps
+    from .dist import avar_left, avar_right, expectation
+
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
     df = DistFunction.dirac_zero(mdp)
@@ -288,6 +306,8 @@ def _cmd_dbo(args) -> int:
 
 
 def _cmd_control(args) -> int:
+    from .control import ControlRounds
+
     mdp = _load_mdp(args)
     rounds = ControlRounds(mdp, args.alpha, args.command)
     run = _run_traced(
@@ -325,6 +345,12 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_robust_verify(args) -> int:
+    import numpy as np
+
+    from .diatomic import spe
+    from .mdp import DEFAULT_TOL, state_values
+    from .robust import worst_best_case
+
     mdp = _load_mdp(args)
     policy = _parse_policy(mdp, args.policy)
     sol = spe(mdp, policy, args.alpha, tol=min(args.tol, DEFAULT_TOL))
@@ -375,6 +401,10 @@ def _format_lp(problem, labels) -> str:
 
 
 def _cmd_risky_lp(args) -> int:
+    import numpy as np
+
+    from .risky_lp import duality_gap_check
+
     mdp = _load_mdp(args)
     nu0 = args.nu0 or None
     if nu0 and nu0.lstrip().startswith("["):
@@ -413,6 +443,9 @@ def _cmd_risky_lp(args) -> int:
 
 
 def _load_dist(path: str) -> DiscreteDist:
+    from .dist import DiscreteDist
+    from .mdp import json_number, read_json
+
     doc = read_json(path)
     if not isinstance(doc, list):
         raise InputError(f"{path}: expected a JSON list of {{value, prob}} entries")
@@ -425,6 +458,8 @@ def _load_dist(path: str) -> DiscreteDist:
 
 
 def _cmd_avar(args) -> int:
+    from .dist import avar_left, avar_right, expectation
+
     d = _load_dist(args.path)
     left = avar_left(d, args.alpha)
     right = avar_right(d, 1.0 - args.alpha)
@@ -468,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
-        "--max-iter": dict(type=int, default=DEFAULT_MAX_ITER),
+        "--max-iter": dict(type=int, default=None),
         "--gamma": dict(type=float, default=None, help="discount override"),
         "--alpha": dict(type=float, default=0.5),
         "--policy": dict(
@@ -483,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(run=run)
         cmd.add_argument("path", help="MDP JSON file (distribution JSON for avar)")
         cmd.add_argument("--out", default=".", help="output directory for artifacts")
-        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        cmd.add_argument("--tol", type=float, default=None)
         for flag in names:
             cmd.add_argument(flag, **flags[flag])
     return parser
@@ -501,6 +536,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_outputs(args)
+        from . import mdp  # the owner of the --tol and --max-iter defaults
+
+        if args.tol is None:
+            args.tol = mdp.DEFAULT_TOL
+        if getattr(args, "max_iter", 0) is None:  # the iterative subcommands
+            args.max_iter = mdp.DEFAULT_MAX_ITER
         return args.run(args)
     except DiatomicError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,15 @@ dispatch, and exit-code mapping a shell user would.
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diatomic_dp
 from diatomic_dp import cli, diatomic, risky_lp
 from diatomic_dp import mdp as mdp_module
 from diatomic_dp.cli import main
@@ -685,8 +690,8 @@ class TestErrorMapping:
         assert not out.exists()
 
     def test_existing_file_as_out_exits_1(self, fig1_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "policy_sweeps", no_solve)
-        monkeypatch.setattr(cli, "duality_gap_check", no_solve)
+        monkeypatch.setattr(mdp_module, "policy_sweeps", no_solve)
+        monkeypatch.setattr(risky_lp, "duality_gap_check", no_solve)
         out = tmp_path / "afile"
         out.write_text("")
         dump = tmp_path / "x.lp"
@@ -700,7 +705,7 @@ class TestErrorMapping:
         assert not dump.exists()
 
     def test_unwritable_dump_path_exits_1(self, fig1_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "duality_gap_check", no_solve)
+        monkeypatch.setattr(risky_lp, "duality_gap_check", no_solve)
         dump = tmp_path / "missing" / "x.lp"
         argv = ["risky-lp", fig1_path, "--dump-lp", str(dump), "--out", str(tmp_path / "r")]
         assert main(argv) == 1
@@ -779,3 +784,99 @@ class TestErrorMapping:
         # self-loop worth r / (1 - gamma) with the overridden discount
         assert result["v"] == pytest.approx([4.0 / 3.0, 8.0 / 3.0], abs=1e-8)
         assert result["params"]["gamma_override"] == 0.25
+
+
+# A child that runs the entry point and, at exit, prints the last stderr
+# line "loaded: ..." naming numpy and the package modules it imported.
+CHILD = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print('loaded:', *sorted(m for m in sys.modules\n"
+    "    if m == 'numpy' or m.startswith('diatomic_dp.')), file=sys.stderr))\n"
+    "from diatomic_dp.cli import main\n"
+    "sys.exit(main())\n"
+)
+SRC = pathlib.Path(diatomic_dp.__file__).parents[1]
+# the package modules each subcommand loads besides cli and errors
+LOADS = {
+    "eval": {"mdp"},
+    "avar": {"mdp", "dist"},
+    "spe": {"mdp", "dist", "diatomic"},
+    "dbo": {"mdp", "dist", "dbo"},
+    "safe": {"mdp", "dist", "diatomic", "control"},
+    "risky": {"mdp", "dist", "diatomic", "control"},
+    "robust-verify": {"mdp", "dist", "diatomic", "returns", "robust"},
+    "risky-lp": {"mdp", "dist", "diatomic", "control", "returns", "robust", "simplex", "risky_lp"},
+}
+HELP = """\
+usage: diatomic-dp [-h]
+                   {eval,spe,dbo,safe,risky,robust-verify,risky-lp,avar} ...
+
+Command-line front end: load an instance, run a solver, leave artifacts.
+
+positional arguments:
+  {eval,spe,dbo,safe,risky,robust-verify,risky-lp,avar}
+    eval                classic expected-value policy evaluation
+    spe                 two-tail policy evaluation in rounds
+    dbo                 unrolled return-distribution steps
+    safe                safe sorted value iteration
+    risky               risky sorted value iteration
+    robust-verify       brute-force kernel extremes against the recursion
+    risky-lp            primal/dual linear-programming route
+    avar                tail means of a discrete distribution file
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def run_child(argv, cwd):
+    """Run ``diatomic-dp argv`` in a fresh interpreter; return it and the modules it loaded."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    last = proc.stderr.splitlines()[-1].split()
+    assert last[0] == "loaded:", proc.stderr
+    return proc, {name.removeprefix("diatomic_dp.") for name in last[1:]}
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            *(([name, "--help"], 0) for name in LOADS),
+            (["no-such-command"], 2),
+            (["eval"], 2),  # no path
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_parser_alone_loads_no_numpy(self, argv, code, tmp_path):
+        proc, loaded = run_child(argv, tmp_path)
+        assert proc.returncode == code
+        assert loaded == {"cli", "errors"}
+
+    def test_refused_out_path_loads_no_numpy(self, fig1_path, tmp_path):
+        out = tmp_path / "afile"
+        out.write_text("")
+        proc, loaded = run_child(["spe", fig1_path, "--out", str(out)], tmp_path)
+        assert proc.returncode == 1
+        assert loaded == {"cli", "errors"}
+
+    @pytest.mark.parametrize("command", LOADS)
+    def test_subcommand_loads_its_modules(self, command, fig1_path, tmp_path):
+        argv = [command, fig1_path, "--out", str(tmp_path / "run")]
+        if command == "avar":
+            argv[1] = str(tmp_path / "dist.json")
+            pathlib.Path(argv[1]).write_text('[{"value": -1, "prob": 0.5}, {"value": 2, "prob": 0.5}]')
+        if command == "robust-verify":
+            argv += ["--policy", "always:a2"]  # fig1's coherent policy
+        proc, loaded = run_child(argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert loaded == {"cli", "errors", "numpy", *LOADS[command]}
+
+    def test_help_text_is_unchanged(self, tmp_path):
+        proc, _ = run_child(["--help"], tmp_path)
+        assert proc.stdout == HELP

@@ -4,7 +4,9 @@ Runs ``diatomic_dp.cli.main`` in-process on each ``corpus.bundled_corpus``
 file (fig1 first) and on one four-atom distribution file, and prints one
 line per run: the argv, the exit code, and a sha256 of ``result.json``,
 ``trace.csv``, the ``risky-lp --dump-lp`` file, stdout and stderr ("-"
-for a file the run did not write).
+for a file the run did not write). The same lines cover the parser alone,
+at ``COLUMNS=80``: ``--help``, every ``<subcommand> --help``, a missing
+path and an unknown subcommand, whose ``SystemExit`` code is the exit code.
 It then prints one line per call of the library routes the CLI does not
 reach, over the stock corpus: the route, its arguments, and a sha256 of
 the bytes of its result (``exact_return_avars`` with the uniform policy
@@ -181,6 +183,7 @@ def main() -> None:
     work = pathlib.Path(parser.parse_args().workdir)
     work.mkdir(parents=True, exist_ok=True)
     os.chdir(work)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage text to it
     for sub in ("corpus", "runs"):
         shutil.rmtree(sub, ignore_errors=True)
     paths = [os.path.relpath(p) for p in corpus.bundled_corpus("corpus")]
@@ -188,6 +191,7 @@ def main() -> None:
     dist.write_text(json.dumps(FOUR_ATOMS))
     runs = [argv for path in paths for argv in mdp_runs(path)]
     runs += [["avar", str(dist), "--alpha", alpha] for alpha in ("0.3", "0.7")]
+    runs += [["--help"], *([name, "--help"] for name, *_ in cli._COMMANDS), ["eval"], ["no-such-command"]]
     for i, argv in enumerate(runs):
         print(run_one(argv, f"runs/{i:04d}"), flush=True)
     for line in library_lines():
