@@ -2,7 +2,10 @@
 
 Iterative commands write ``trace.csv`` (one row per iteration performed:
 a sweep for ``eval``, a round of order iteration for ``spe``, ``safe``
-and ``risky``) and ``result.json`` into the output directory; one-shot
+and ``risky``) and ``result.json`` into the output directory. ``dbo``
+writes ``trace.csv`` (one row per step), ``atoms.npy`` (the final table's
+atoms as float64 (value, prob) rows, which each ``result.json`` entry
+indexes by ``atom_rows``) and ``result.json``; the other one-shot
 commands write ``result.json`` only. Output is deterministic: identical configuration
 produces byte-identical files, so diffing artifacts across runs is a
 meaningful check.
@@ -109,21 +112,25 @@ def _check_outputs(args) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), dump)
 
 
-def _write_result(args, payload: dict) -> None:
+def _write_result(args, payload: dict) -> str:
+    """Write ``payload`` to ``result.json`` and return its text."""
+    text = _json_text(payload)
     with open(_out_dir(args) / "result.json", "w") as fh:
-        fh.write(_json_text(payload) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 def _write_trace(args, header, rows) -> None:
+    """Write ``trace.csv``: the header through ``csv``, which quotes names that need it,
+    and the all-numeric rows joined into the bytes ``csv`` would write."""
     import csv
 
     with open(_out_dir(args) / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [v if isinstance(v, int) else repr(float(v)) for v in row]
-            )
+        csv.writer(fh).writerow(header)
+        fh.writelines(
+            ",".join([str(v) if isinstance(v, int) else repr(float(v)) for v in row]) + "\r\n"
+            for row in rows
+        )
 
 
 def _load_mdp(args) -> Mdp:
@@ -272,6 +279,8 @@ def _cmd_spe(args) -> int:
 
 
 def _cmd_dbo(args) -> int:
+    import numpy as np
+
     from .dbo import DistFunction, dbo_steps
     from .dist import avar_left, avar_right, expectation
 
@@ -283,16 +292,25 @@ def _cmd_dbo(args) -> int:
         rows.append([step, df.total_atoms(), df.max_atoms()])
     _write_trace(args, ["step", "total_atoms", "max_entry_atoms"], rows)
     entries = {}
-    for x, sname in enumerate(mdp.states):
-        for a, aname in enumerate(mdp.actions):
-            d = df.entry(x, a)
-            entries[f"{sname}_{aname}"] = {
-                "values": d.values,
-                "probs": d.probs,
-                "mean": expectation(d),
-                "avar_left": avar_left(d, args.alpha),
-                "avar_right": avar_right(d, 1.0 - args.alpha),
-            }
+    stop = 0
+    with open(_out_dir(args) / "atoms.npy", "wb") as fh:
+        # np.save's bytes for the (total_atoms, 2) float64 table, written an entry
+        # at a time: one stacked copy of the table would raise the peak RSS by its size
+        shape = (df.total_atoms(), 2)
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": np.dtype(np.float64).str, "fortran_order": False, "shape": shape}
+        )
+        for x, sname in enumerate(mdp.states):
+            for a, aname in enumerate(mdp.actions):
+                d = df.entry(x, a)
+                np.column_stack((d.values, d.probs)).tofile(fh)
+                start, stop = stop, stop + d.n_atoms
+                entries[f"{sname}_{aname}"] = {
+                    "atom_rows": [start, stop],
+                    "mean": expectation(d),
+                    "avar_left": avar_left(d, args.alpha),
+                    "avar_right": avar_right(d, 1.0 - args.alpha),
+                }
     _write_result(
         args,
         {
@@ -375,8 +393,7 @@ def _cmd_robust_verify(args) -> int:
         "ties": res.ties,
         "kernel": res.kernel.probs,
     }
-    _write_result(args, payload)
-    print(_json_text(payload))
+    print(_write_result(args, payload))
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
@@ -365,7 +366,7 @@ def _entry_columns(entries: list, value_key: str, shape: tuple) -> list | None:
     first entry that is wrong.
     """
     try:
-        columns = list(zip(*[(e["x"], e["a"], e["next"], e[value_key]) for e in entries]))
+        columns = list(zip(*map(operator.itemgetter("x", "a", "next", value_key), entries)))
     except (KeyError, TypeError):
         return None
     if not all({int}.issuperset(map(type, c)) for c in columns[:3]):  # bool is an int subclass

@@ -5,11 +5,13 @@ dispatch, and exit-code mapping a shell user would.
 """
 
 import csv
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from diatomic_dp import mdp as mdp_module
 from diatomic_dp.cli import main
 from diatomic_dp.control import svi
 from diatomic_dp.corpus import bundled_corpus, fig1_mdp, random_mdp, stock_corpus
+from diatomic_dp.dbo import DistFunction, dbo_iterate
 from diatomic_dp.diatomic import pair_rounds, spe
 from diatomic_dp.mdp import (
     Mdp,
@@ -70,6 +73,12 @@ def read_trace(out_dir):
     with open(out_dir / "trace.csv") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def read_atoms(out_dir, entry):
+    """A ``dbo`` entry's (value, prob) rows of ``atoms.npy``."""
+    start, stop = entry["atom_rows"]
+    return np.load(out_dir / "atoms.npy")[start:stop]
 
 
 class TestSpe:
@@ -169,6 +178,34 @@ class TestEval:
         assert result["v"] == pytest.approx([2.0, 4.0], abs=1e-8)
 
 
+class TestTrace:
+    def test_names_with_commas_or_quotes_are_quoted(self, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**mdp_to_dict(fig1_mdp()), "states": ["x,1", 'x"2']}))
+        out = tmp_path / "run"
+        assert main(["eval", str(path), "--max-iter", "3", "--out", str(out)]) == 0
+        header, rows = read_trace(out)
+        assert header[2:] == ["q_x,1_a1", "q_x,1_a2", 'q_x"2_a1', 'q_x"2_a2']
+        text = (out / "trace.csv").read_bytes()
+        assert text.startswith(b'iteration,residual,"q_x,1_a1","q_x,1_a2","q_x""2_a1","q_x""2_a2"\r\n')
+        assert [len(row) for row in rows] == [6, 6, 6]
+
+    def test_rows_are_the_csv_module_text(self, tmp_path):
+        header = ["step", "a,b", 'c"d']
+        rows = [
+            [1, 0.5, -0.0, 5e-324],
+            [np.int64(2), np.float64(0.1), np.float32(0.1), float("nan")],
+            [True, float("inf"), -1e300, 7],
+            [],
+        ]
+        cli._write_trace(SimpleNamespace(out=str(tmp_path)), header, rows)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, int) else repr(float(v)) for v in row] for row in rows)
+        assert (tmp_path / "trace.csv").read_bytes() == want.getvalue().encode()
+
+
 class TestControlCommands:
     def test_safe_picks_first_action(self, fig1_path, tmp_path):
         out = tmp_path / "run"
@@ -215,7 +252,7 @@ class TestDbo:
         result = read_result(out)
         entry = result["entries"]["x2_a1"]
         # deterministic self-loop: a single atom at 2 * (1 - 0.5^6) / 0.5
-        assert entry["values"] == pytest.approx([3.9375])
+        assert read_atoms(out, entry)[:, 0].tolist() == pytest.approx([3.9375])
         assert entry["avar_left"] == pytest.approx(3.9375)
         assert entry["avar_right"] == pytest.approx(3.9375)
 
@@ -230,7 +267,44 @@ class TestDbo:
         out = tmp_path / "run"
         assert main(["dbo", fig1_path, "--k", "0", "--out", str(out)]) == 0
         assert read_trace(out) == (["step", "total_atoms", "max_entry_atoms"], [])
-        assert read_result(out)["entries"]["x1_a1"]["values"] == [0.0]
+        entries = read_result(out)["entries"]
+        assert read_atoms(out, entries["x1_a1"])[:, 0].tolist() == [0.0]
+        # one (0.0, 1.0) row per entry
+        assert sorted(e["atom_rows"] for e in entries.values()) == [[i, i + 1] for i in range(4)]
+        assert np.load(out / "atoms.npy").tolist() == [[0.0, 1.0]] * 4
+
+    @pytest.mark.parametrize("name", ["fig1", "balanced_s3_seed302"])
+    def test_atoms_equal_the_library_table(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        save_mdp(dict(stock_corpus())[name], path)
+        mdp = load_mdp(str(path))
+        out = tmp_path / "run"
+        assert main(["dbo", str(path), "--k", "4", "--out", str(out)]) == 0
+        result = read_result(out)
+        atoms = np.load(out / "atoms.npy")
+        assert atoms.dtype == np.float64 and atoms.shape == (result["total_atoms"], 2)
+        rows = sorted(e["atom_rows"] for e in result["entries"].values())
+        # the entries' row ranges tile [0, total_atoms) ...
+        assert [start for start, _ in rows] == [0, *(stop for _, stop in rows[:-1])]
+        assert rows[-1][1] == result["total_atoms"] and all(a < b for a, b in rows)
+        # ... in state-major, then action, order
+        names = [f"{s}_{a}" for s in mdp.states for a in mdp.actions]
+        assert [result["entries"][n]["atom_rows"] for n in names] == rows
+        df = dbo_iterate(mdp, Policy.uniform(mdp), DistFunction.dirac_zero(mdp), 4)
+        dists = [d for row in df.dists for d in row]
+        for name, d in zip(names, dists):
+            got = atoms[slice(*result["entries"][name]["atom_rows"])]
+            assert got[:, 0].tobytes() == d.values.tobytes()
+            assert got[:, 1].tobytes() == d.probs.tobytes()
+        # the file is what np.save writes for the stacked table
+        saved = io.BytesIO()
+        np.save(saved, np.concatenate([np.column_stack((d.values, d.probs)) for d in dists]))
+        assert (out / "atoms.npy").read_bytes() == saved.getvalue()
+
+    def test_two_runs_write_identical_atoms(self, fig1_path, tmp_path):
+        for run in ("a", "b"):
+            assert main(["dbo", fig1_path, "--k", "5", "--out", str(tmp_path / run)]) == 0
+        assert (tmp_path / "a" / "atoms.npy").read_bytes() == (tmp_path / "b" / "atoms.npy").read_bytes()
 
 
 class TestRobustVerify:
@@ -247,7 +321,9 @@ class TestRobustVerify:
             str(out),
         ]
         assert main(argv) == 0
-        printed = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "result.json").read_text()  # the report is result.json's text
+        printed = json.loads(stdout)
         assert printed["n_candidates"] == 9
         assert printed["ties"] is False
         assert printed["max_deviation"] < 1e-7

@@ -3,8 +3,8 @@
 Runs ``diatomic_dp.cli.main`` in-process on each ``corpus.bundled_corpus``
 file (fig1 first) and on one four-atom distribution file, and prints one
 line per run: the argv, the exit code, and a sha256 of ``result.json``,
-``trace.csv``, the ``risky-lp --dump-lp`` file, stdout and stderr ("-"
-for a file the run did not write). The same lines cover the parser alone,
+``trace.csv``, ``atoms.npy``, the ``risky-lp --dump-lp`` file, stdout and
+stderr ("-" for a file the run did not write). The same lines cover the parser alone,
 at ``COLUMNS=80``: ``--help``, every ``<subcommand> --help``, a missing
 path and an unknown subcommand, whose ``SystemExit`` code is the exit code.
 It then prints one line per call of the library routes the CLI does not
@@ -171,7 +171,7 @@ def run_one(argv: list[str], out: str) -> str:
             code = exc.code
         except Exception as exc:  # a traceback is an outcome to compare too
             code = f"raised:{type(exc).__name__}"
-    files = [read(pathlib.Path(out) / name) for name in ("result.json", "trace.csv")]
+    files = [read(pathlib.Path(out) / name) for name in ("result.json", "trace.csv", "atoms.npy")]
     files.append(read(pathlib.Path(DUMP)))
     streams = [s.getvalue().encode() for s in (stdout, stderr)]
     return " ".join([" ".join(argv), f"exit={code}", *(digest(d) for d in files + streams)])
