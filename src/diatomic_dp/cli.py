@@ -41,50 +41,6 @@ if TYPE_CHECKING:
     from .mdp import Mdp, Policy, SweepRun
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` with numpy values as plain lists.
-
-    numpy arrays and non-float scalars are written as their ``tolist()``.
-    A finite 1-D float64 array is written in bulk, one ``float.__repr__``
-    per line as ``json`` writes each float; every other value, NaN and
-    infinities included, goes through ``json`` itself. Dictionary keys are
-    strings, as in every payload here.
-    """
-    import json
-
-    import numpy as np
-
-    parts = []
-
-    def put(o, indent: str) -> None:  # indent: the newline and spaces of o's level
-        inner = indent + "  "
-        if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.size:
-            if o.ndim > 1:
-                put(list(o), indent)  # rows are 1-D arrays
-                return
-            if o.ndim == 1 and np.isfinite(o).all():
-                parts.append("[" + inner + ("," + inner).join(map(float.__repr__, o.tolist())))
-                parts.append(indent + "]")
-                return
-        if isinstance(o, dict) and o:
-            for i, key in enumerate(sorted(o)):
-                parts.append(("," if i else "{") + inner + json.dumps(key) + ": ")
-                put(o[key], inner)
-            parts.append(indent + "}")
-        elif isinstance(o, (list, tuple)) and o:
-            for i, item in enumerate(o):
-                parts.append(("," if i else "[") + inner)
-                put(item, inner)
-            parts.append(indent + "]")
-        elif isinstance(o, (np.ndarray, np.generic)) and not isinstance(o, float):
-            put(o.tolist(), indent)
-        else:
-            parts.append(json.dumps(o))
-
-    put(payload, "\n")
-    return "".join(parts)
-
-
 def _out_dir(args) -> pathlib.Path:
     import pathlib
 
@@ -113,10 +69,11 @@ def _check_outputs(args) -> None:
 
 
 def _write_result(args, payload: dict) -> str:
-    """Write ``payload`` to ``result.json`` and return its text."""
-    text = _json_text(payload)
-    with open(_out_dir(args) / "result.json", "w") as fh:
-        fh.write(text + "\n")
+    """Write ``payload`` to ``result.json`` and return its text; numpy values go as ``tolist()``."""
+    import json
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist())
+    (_out_dir(args) / "result.json").write_text(text + "\n")
     return text
 
 
@@ -125,7 +82,7 @@ def _write_trace(args, header, rows) -> None:
     and the all-numeric rows joined into the bytes ``csv`` would write."""
     import csv
 
-    with open(_out_dir(args) / "trace.csv", "w", newline="") as fh:
+    with open(_out_dir(args) / "trace.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(
             ",".join([str(v) if isinstance(v, int) else repr(float(v)) for v in row]) + "\r\n"
@@ -358,7 +315,9 @@ def _cmd_control(args) -> int:
         f"{s}:{{{','.join(mdp.actions[a] for a in group)}}}"
         for s, group in zip(mdp.states, res.action_sets)
     )
-    print(f"{args.command}: {res.iterations} iterations, action sets {sets}")
+    line = f"{args.command}: {res.iterations} iterations, action sets {sets}"
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"  # None on an io.StringIO
+    print(line.encode(encoding, "backslashreplace").decode(encoding))  # as stderr escapes
     return 0
 
 

@@ -410,8 +410,9 @@ def spe(mdp: Mdp, policy: Policy, alpha: float, tol: float = DEFAULT_TOL) -> Spe
     round's certificate sweep on the entries the policy plays (the others
     are read off those in the sweep), and the returned pair is that
     sweep's output, within gamma * residual / (1 - gamma) of the fixed
-    point everywhere; at most ``mdp.DEFAULT_MAX_ITER`` rounds run. This is
-    ``spe_stack`` of one problem.
+    point everywhere in exact arithmetic; float rounding adds a term of
+    order eps * max|q| / (1 - gamma) that the bound leaves out. At most
+    ``mdp.DEFAULT_MAX_ITER`` rounds run; this is ``spe_stack`` of one problem.
     """
     return spe_stack([(mdp, policy)], alpha, tol)[0]
 

@@ -629,9 +629,11 @@ class TestFlags:
 
 
 class TestJsonText:
+    """``result.json`` is the ``json.dumps`` text of the payload, numpy values as ``tolist()``."""
+
     FORMAT = dict(indent=2, sort_keys=True, default=lambda o: o.tolist())
 
-    def test_bytes_equal_json_dump(self):
+    def test_bytes_equal_json_dump(self, tmp_path):
         rng = np.random.default_rng(3)
         payload = {
             "finite": rng.standard_normal(5),
@@ -652,12 +654,16 @@ class TestJsonText:
             "per_state": {"état": {"worst": np.float64(-1.5), "name": "ß✓"}, "s": {}},
             "nan": float("nan"),
         }
+        args = SimpleNamespace(out=str(tmp_path))
         for value in (payload, [], {}, np.array([1.0]), np.array([]), float("-inf"), "naïve"):
-            assert cli._json_text(value) == json.dumps(value, **self.FORMAT)
+            want = json.dumps(value, **self.FORMAT)
+            assert cli._write_result(args, value) == want
+            assert (tmp_path / "result.json").read_bytes() == (want + "\n").encode()
 
-    def test_result_file_is_the_json_dump_text(self, fig1_path, tmp_path):
+    @pytest.mark.parametrize("command", [name for name, *_ in cli._COMMANDS])
+    def test_result_file_is_the_json_dump_text(self, command, fig1_path, tmp_path):
         out = tmp_path / "r"
-        assert main(["dbo", fig1_path, "--k", "3", "--out", str(out)]) == 0
+        assert main(subcommand_argv(command, fig1_path, out)) == 0
         text = (out / "result.json").read_text()
         assert text == json.dumps(json.loads(text), **self.FORMAT) + "\n"
 
@@ -905,10 +911,22 @@ options:
 """
 
 
-def run_child(argv, cwd):
-    """Run ``diatomic-dp argv`` in a fresh interpreter; return it and the modules it loaded."""
+def subcommand_argv(command, fig1_path, out):
+    """An argv that runs ``command`` to exit 0 on fig1, or on a two-atom file for avar."""
+    argv = [command, fig1_path, "--out", str(out)]
+    if command == "avar":
+        argv[1] = str(pathlib.Path(fig1_path).with_name("dist.json"))
+        pathlib.Path(argv[1]).write_text('[{"value": -1, "prob": 0.5}, {"value": 2, "prob": 0.5}]')
+    if command == "robust-verify":
+        argv += ["--policy", "always:a2"]  # fig1's coherent policy
+    return argv
+
+
+def run_child(argv, cwd, **env):
+    """Run ``diatomic-dp argv`` in a fresh interpreter with ``env`` added to the environment;
+    return it and the modules it loaded."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80", **env}
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
@@ -943,16 +961,40 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("command", LOADS)
     def test_subcommand_loads_its_modules(self, command, fig1_path, tmp_path):
-        argv = [command, fig1_path, "--out", str(tmp_path / "run")]
-        if command == "avar":
-            argv[1] = str(tmp_path / "dist.json")
-            pathlib.Path(argv[1]).write_text('[{"value": -1, "prob": 0.5}, {"value": 2, "prob": 0.5}]')
-        if command == "robust-verify":
-            argv += ["--policy", "always:a2"]  # fig1's coherent policy
-        proc, loaded = run_child(argv, tmp_path)
+        proc, loaded = run_child(subcommand_argv(command, fig1_path, tmp_path / "run"), tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert loaded == {"cli", "errors", "numpy", *LOADS[command]}
 
     def test_help_text_is_unchanged(self, tmp_path):
         proc, _ = run_child(["--help"], tmp_path)
         assert proc.stdout == HELP
+
+
+class TestLocale:
+    """Artifacts do not depend on the locale; stdout escapes what it cannot encode."""
+
+    ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("eval", {"states": ["état", "✓"]}),
+            ("safe", {"actions": ["ñ", "b"]}),
+            ("risky", {"states": ["état", "✓"], "actions": ["ñ", "b"]}),
+        ],
+        ids=["eval", "safe", "risky"],
+    )
+    def test_ascii_locale_writes_the_utf8_bytes(self, command, names, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**mdp_to_dict(fig1_mdp()), **names}), encoding="utf-8")
+        stdout, files = {}, {}
+        for label, env in (("ascii", self.ASCII), ("utf8", {"PYTHONUTF8": "1"})):
+            out = tmp_path / label
+            proc, _ = run_child([command, str(path), "--out", str(out)], tmp_path, **env)
+            assert proc.returncode == 0, proc.stderr
+            stdout[label] = proc.stdout
+            files[label] = [(out / name).read_bytes() for name in ("trace.csv", "result.json")]
+        assert files["ascii"] == files["utf8"]
+        header = files["ascii"][0].split(b"\r\n")[0].decode("utf-8")
+        assert all(f"_{name}" in header for name in names.get("states", []))
+        assert stdout["ascii"] == stdout["utf8"].encode("ascii", "backslashreplace").decode()

@@ -19,7 +19,12 @@ risky primals, the ``risk_neutral_kernel`` followed by the
 every deterministic policy decides their floats, and the
 ``coherence_axioms_check`` reports of the uniform policy at every state of
 fig1 and the three-state instances, whose floats come from ``spe`` solves
-on perturbed reward tables).
+on perturbed reward tables, and the one-sweep entry points:
+``diatomic_bellman_apply`` with the uniform and ``always:0`` policies from
+the ramp pair (q, 2q + 1), q = 0, 1, 2, ... over the entries, and one
+``safe_bellman_apply`` and one ``risky_bellman_apply`` from
+(0, v* / (1 - alpha)), each at alpha 0.3 and 0.7): 689 run lines and 996
+library lines, 1685 in all.
 Two source trees whose outputs are byte-identical print identical lines:
 
     PYTHONPATH=old/src python3 tools/artifact_digest.py /tmp/digest-old > old.txt
@@ -45,8 +50,14 @@ import shutil
 import numpy as np
 
 from diatomic_dp import cli, corpus
-from diatomic_dp.control import optimality_certificate
+from diatomic_dp.control import (
+    ControlRounds,
+    optimality_certificate,
+    risky_bellman_apply,
+    safe_bellman_apply,
+)
 from diatomic_dp.dbo import DistFunction, dbo_iterate
+from diatomic_dp.diatomic import DoubleQ, diatomic_bellman_apply
 from diatomic_dp.mdp import Policy, load_mdp
 from diatomic_dp.returns import exact_return_avars
 from diatomic_dp.risky_lp import build_risky_primal
@@ -159,6 +170,18 @@ def library_lines():
             for x in range(mdp.n_states):
                 report = repr(coherence_axioms_check(mdp, uniform, 0.3, x)).encode()
                 yield f"coherence_axioms_check {name} uniform alpha=0.3 {x=} {digest(report)}"
+        ramp_q = np.arange(float(mdp.n_states * mdp.n_actions)).reshape(mdp.n_states, -1)
+        for alpha in (0.3, 0.7):
+            for label, policy in (("uniform", uniform), ("always:0", Policy.always(mdp, 0))):
+                dq = diatomic_bellman_apply(mdp, policy, DoubleQ(ramp_q, 2.0 * ramp_q + 1.0, alpha))
+                arrays = digest_arrays(dq.q1, dq.q2)
+                yield f"diatomic_bellman_apply {name} {label} {alpha=} {arrays}"
+            v1 = np.zeros(mdp.n_states)
+            v2 = ControlRounds(mdp, alpha).v_star / (1.0 - alpha)
+            for mode, sweep in (("safe", safe_bellman_apply), ("risky", risky_bellman_apply)):
+                step = sweep(mdp, v1, v2, alpha)
+                arrays = digest_arrays(step.q1, step.v1, step.v2, step.q2)
+                yield f"{mode}_bellman_apply {name} {alpha=} {arrays}"
 
 
 def run_one(argv: list[str], out: str) -> str:
